@@ -42,7 +42,6 @@ from .degenerations import (
     verify_tpng_equivalence,
 )
 from .lattice import (
-    MAX_SAMPLER_COLORS,
     ParameterField,
     admissibility_violations,
     complement,
@@ -64,6 +63,7 @@ from .lln import (
     verify_prop_X_height,
     verify_superadditivity,
 )
+from .lmatrix import MAX_COLORS
 from .pool import resolve_workers
 from .render_svg import write_svg
 from .report import VerificationReport
@@ -285,6 +285,17 @@ def _load_field(options: dict) -> ParameterField:
     return make_field(_check_prob(options, "b1"), _check_prob(options, "b2"))
 
 
+def _workers(options: dict) -> int:
+    requested = options.get("workers")
+    if requested is not None and (not isinstance(requested, int)
+                                  or isinstance(requested, bool)):
+        raise ConfigError("--workers must be an integer")
+    try:
+        return resolve_workers(requested)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _emit(report_lines) -> None:
     for line in report_lines:
         print(line)
@@ -305,7 +316,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if trials < 1 or replicas < 2:
         raise ConfigError("--trials must be >= 1 and --replicas >= 2")
     field = make_field(_check_prob(o, "b1"), _check_prob(o, "b2"))
-    workers = resolve_workers(o.get("workers"))
+    workers = _workers(o)
 
     checks: list[VerificationReport] = []
 
@@ -393,8 +404,8 @@ def _cmd_sample(cfg: RunConfig) -> int:
     if model == "colored":
         x, y = _parse_direction(o["dir"])
         blocks = int(o["blocks"])
-        if not 1 <= blocks <= MAX_SAMPLER_COLORS:
-            raise ConfigError(f"--blocks must be in 1..{MAX_SAMPLER_COLORS}")
+        if not 1 <= blocks <= MAX_COLORS:
+            raise ConfigError(f"--blocks must be in 1..{MAX_COLORS}")
         scheme = make_coloring(x, y, field)
         e = sample_colored_cs6v(blocks, scheme, field, seed, replica)
     else:
@@ -439,7 +450,7 @@ def _cmd_converge(cfg: RunConfig) -> int:
         field = make_field(0.0, 1.0 - p)
     else:
         field = _load_field(o)
-    workers = resolve_workers(o.get("workers"))
+    workers = _workers(o)
     report = convergence_experiment(direction, field, sizes, replicas, seed,
                                     model=model, workers=workers)
     meta = cfg.provenance()
@@ -476,7 +487,7 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
     nseeds = int(o["coupling_seeds"])
     if w < 1 or h < 1 or nseeds < 1:
         raise ConfigError("--width/--height/--coupling-seeds must be >= 1")
-    workers = resolve_workers(o.get("workers"))
+    workers = _workers(o)
 
     checks: list[VerificationReport] = []
     for side in range(1, law_max + 1):

@@ -17,6 +17,14 @@ shells of blocks, each shell's vertices use the rule with as many colors as
 the shell index, and nucleations emit the shell's own color, which has the
 lowest priority among those already present.
 
+The multicolor samplers never tabulate the n-color rule.  They sweep
+level-parity words, whose bit L-1 is the parity of the first L colors: every
+level follows the single-color complemented rule driven by the shared cross
+and nucleation coins, and a shell-k vertex may nucleate only at levels
+L >= n - k + 1.  Color masks are recovered once per ensemble by differencing
+consecutive levels, so any color count up to MAX_COLORS is sampled in time
+linear in the box and independent of the color count.
+
 Parameters are biperiodic: vertex (x, y) reads entry ((x-1) mod I,
 (y-1) mod J) of two I x J matrices.
 """
@@ -30,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .lmatrix import MAX_COLORS, _ln_code, outcome_table
+from .lmatrix import MAX_COLORS, _ln_code
 from .report import VerificationReport
 
 
@@ -91,12 +99,6 @@ def make_field(b1, b2) -> ParameterField:
 
 # ---------------------------------------------------------------------------
 # Path ensembles
-
-# Ensembles may carry up to MAX_COLORS colors (e.g. read from files), but the
-# table-driven colored sampler precomputes 4^k-entry outcome tables for every
-# shell count k, so it stops where the tables do.
-MAX_SAMPLER_COLORS = 12
-
 
 def _mask_dtype(n_colors: int):
     return np.uint8 if n_colors <= 8 else np.uint32
@@ -362,15 +364,55 @@ def make_coloring(x, y, field: ParameterField) -> ColoringScheme:
 # ---------------------------------------------------------------------------
 # Multicolor samplers
 
-def _flat_outcome_table(k: int):
-    """Flattened packed-outcome lookup for the scalar inner loop.
+def _levels_from_colors(masks: np.ndarray, n: int) -> np.ndarray:
+    """Level-parity words of n-color masks: bit L-1 is the parity of colors 1..L."""
+    levels = masks.copy()
+    shift = 1
+    while shift < n:
+        levels ^= levels << shift
+        shift <<= 1
+    return levels & ((1 << n) - 1)
 
-    A Python list indexes fastest for the common small color counts; above 8
-    colors the list's per-element objects would dominate memory, so the
-    ndarray is kept instead (4 bytes per entry).
+
+def _colors_from_levels(levels: np.ndarray, n: int) -> np.ndarray:
+    """Color masks of level-parity words: color c flips levels c-1 and c apart."""
+    return (levels ^ (levels << 1)) & ((1 << n) - 1)
+
+
+def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
+                  seed: int, replica: int, south: list, west: list,
+                  nucleation_levels) -> tuple[np.ndarray, np.ndarray]:
+    """Run the two-coin rule over a box on n-level parity words.
+
+    south holds the level words entering each column from below, west[y-1]
+    the word entering row y from the left, and nucleation_levels(y) the
+    levels each column of row y may nucleate at (an int or an array).  With
+    south word s and west word w at a vertex, a level with one input passes
+    it on, two inputs both continue iff the cross coin fires, and an empty
+    allowed level emits both outputs iff the nucleation coin fires.  Returns
+    the (north, east) edge arrays as color masks.
     """
-    flat = outcome_table(k).reshape(-1)
-    return flat.tolist() if k <= 8 else flat
+    full = (1 << n) - 1
+    dtype = _mask_dtype(n)
+    v = np.zeros((width, height), dtype=dtype)
+    hE = np.zeros((width, height), dtype=dtype)
+    for y in range(1, height + 1):
+        u1, u2 = rng.row_uniforms(seed, replica, y, width)
+        b1r, b2r = field.rows(y, width)
+        cross = np.where(u1 < b1r, full, 0).tolist()
+        nucleate = np.where(u2 >= b2r, nucleation_levels(y), 0).tolist()
+        w = west[y - 1]
+        north, east = [], []
+        for s, c, nu in zip(south, cross, nucleate):
+            d = s ^ w
+            shared = (s & w & c) | (nu & ~(s | w))
+            north.append((s & d) | shared)
+            w = (w & d) | shared
+            east.append(w)
+        v[:, y - 1] = north
+        hE[:, y - 1] = east
+        south = north
+    return _colors_from_levels(v, n), _colors_from_levels(hE, n)
 
 
 def sample_colored_cs6v(n_blocks: int, scheme: ColoringScheme, field: ParameterField,
@@ -383,36 +425,21 @@ def sample_colored_cs6v(n_blocks: int, scheme: ColoringScheme, field: ParameterF
     masks carries the p-th priority color, so shell k's color sits at bit
     n_blocks - k.
     """
-    if not 1 <= n_blocks <= MAX_SAMPLER_COLORS:
-        raise ValueError(
-            f"n_blocks must be in 1..{MAX_SAMPLER_COLORS}: the sampler is "
-            "driven by precomputed outcome tables of 4^k entries")
+    if not 1 <= n_blocks <= MAX_COLORS:
+        raise ValueError(f"n_blocks must be in 1..{MAX_COLORS}")
     width, height = scheme.bx * n_blocks, scheme.by * n_blocks
-    dtype = _mask_dtype(n_blocks)
-    tables = {k: _flat_outcome_table(k) for k in range(1, n_blocks + 1)}
-    xblocks = [min(-(-x // scheme.bx), n_blocks) for x in range(1, width + 1)]
-    v = np.zeros((width, height), dtype=dtype)
-    hE = np.zeros((width, height), dtype=dtype)
-    south = [0] * width
-    east_row = [0] * width
-    for y in range(1, height + 1):
-        u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = field.rows(y, width)
-        X = (u1 < b1r).tolist()
-        N = (u2 >= b2r).tolist()
-        yblock = -(-y // scheme.by)
-        west = 0
-        for ix in range(width):
-            k = xblocks[ix] if xblocks[ix] < yblock else yblock
-            shift = n_blocks - k
-            code = int(tables[k][((((south[ix] >> shift) << k) | (west >> shift)) << 2)
-                                 | (X[ix] << 1) | N[ix]])
-            south[ix] = (code >> k) << shift
-            west = (code & ((1 << k) - 1)) << shift
-            east_row[ix] = west
-        v[:, y - 1] = south
-        hE[:, y - 1] = east_row
-    left, bottom = _empty_boundary(width, height, dtype)
+    full = (1 << n_blocks) - 1
+
+    def allowed(k):
+        # a shell-k vertex nucleates only at levels n_blocks-k+1..n_blocks
+        return full ^ ((1 << (n_blocks - k)) - 1)
+
+    xblocks = -(-np.arange(1, width + 1) // scheme.bx)
+    xallowed = allowed(xblocks)
+    v, hE = _sweep_levels(width, height, n_blocks, field, seed, replica,
+                          [0] * width, [0] * height,
+                          lambda y: xallowed & allowed(-(-y // scheme.by)))
+    left, bottom = _empty_boundary(width, height, v.dtype)
     return PathEnsemble("cs6v", n_blocks, width, height, v, hE, left, bottom)
 
 
@@ -431,24 +458,10 @@ def sample_two_colored_with_boundary(width: int, height: int, field: ParameterFi
     for arr in (left, bottom):
         if (arr & 0b01).any() or (arr & ~np.uint8(0b11)).any():
             raise ValueError("boundary lines may only carry color 2")
-    table = _flat_outcome_table(2)
-    v = np.zeros((width, height), dtype=np.uint8)
-    hE = np.zeros((width, height), dtype=np.uint8)
-    south = bottom.tolist()
-    east_row = [0] * width
-    for y in range(1, height + 1):
-        u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = field.rows(y, width)
-        X = (u1 < b1r).tolist()
-        N = (u2 >= b2r).tolist()
-        west = int(left[y - 1])
-        for ix in range(width):
-            code = table[(((south[ix] << 2) | west) << 2) | (X[ix] << 1) | N[ix]]
-            south[ix] = code >> 2
-            west = code & 0b11
-            east_row[ix] = west
-        v[:, y - 1] = south
-        hE[:, y - 1] = east_row
+    v, hE = _sweep_levels(width, height, 2, field, seed, replica,
+                          _levels_from_colors(bottom, 2).tolist(),
+                          _levels_from_colors(left, 2).tolist(),
+                          lambda y: 0b11)
     return PathEnsemble("cs6v", 2, width, height, v, hE, left.copy(), bottom.copy())
 
 

@@ -17,9 +17,12 @@ def resolve_workers(requested: int | None) -> int:
     """Worker count: the env override wins, then the request, then 1."""
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1")
+        try:
+            n = int(env)
+            if n < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}") from None
         return n
     return max(1, requested or 1)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from .lattice import PathEnsemble
 
 PALETTE = (
@@ -47,11 +49,11 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
     })
     # vertex dots
     dots = ET.SubElement(svg, "g", {"fill": "#cccccc"})
+    cys = [_fmt(Y(y)) for y in range(1, e.height + 1)]
     for x in range(1, e.width + 1):
-        for y in range(1, e.height + 1):
-            ET.SubElement(dots, "circle", {
-                "cx": _fmt(X(x)), "cy": _fmt(Y(y)), "r": "1.5",
-            })
+        cx = _fmt(X(x))
+        for cy in cys:
+            ET.SubElement(dots, "circle", {"cx": cx, "cy": cy, "r": "1.5"})
     for c in range(1, e.n_colors + 1):
         color = PALETTE[(c - 1) % len(PALETTE)]
         d = (c - (e.n_colors + 1) / 2.0) * offset
@@ -67,20 +69,21 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
 
         bit = c - 1
         dx = d / cell  # offsets in lattice units
-        for x in range(1, e.width + 1):
-            for y in range(1, e.height + 1):
-                if (int(e.v_edges[x - 1, y - 1]) >> bit) & 1:
-                    top = y + 1 if y < e.height else y + 0.5
-                    seg(x + dx, y, x + dx, top)
-                if (int(e.h_edges[x - 1, y - 1]) >> bit) & 1:
-                    right = x + 1 if x < e.width else x + 0.5
-                    seg(x, y + dx, right, y + dx)
-        for y in range(1, e.height + 1):
-            if (int(e.boundary_left[y - 1]) >> bit) & 1:
-                seg(0.5, y + dx, 1, y + dx)
-        for x in range(1, e.width + 1):
-            if (int(e.boundary_bottom[x - 1]) >> bit) & 1:
-                seg(x + dx, 0.5, x + dx, 1)
+        vbits = (e.v_edges >> bit) & 1
+        hbits = (e.h_edges >> bit) & 1
+        xs, ys = np.nonzero(vbits | hbits)  # x-major, then y
+        for x, y, vb, hb in zip((xs + 1).tolist(), (ys + 1).tolist(),
+                                vbits[xs, ys].tolist(), hbits[xs, ys].tolist()):
+            if vb:
+                top = y + 1 if y < e.height else y + 0.5
+                seg(x + dx, y, x + dx, top)
+            if hb:
+                right = x + 1 if x < e.width else x + 0.5
+                seg(x, y + dx, right, y + dx)
+        for y in (np.flatnonzero((e.boundary_left >> bit) & 1) + 1).tolist():
+            seg(0.5, y + dx, 1, y + dx)
+        for x in (np.flatnonzero((e.boundary_bottom >> bit) & 1) + 1).tolist():
+            seg(x + dx, 0.5, x + dx, 1)
     return ET.tostring(svg, encoding="unicode")
 
 

@@ -14,6 +14,14 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# One generator serves every row: Philox is counter-based, so resetting its
+# key, counter and output buffer reproduces a freshly built stream exactly.
+# The reset and the draw are two steps on shared state, so row_uniforms must
+# not run in several threads of one process at once (worker processes are fine).
+_BITGEN = np.random.Philox(0)
+_GEN = np.random.Generator(_BITGEN)
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
 
 def row_uniforms(seed: int, replica: int, row: int, width: int):
     """Uniform arrays (u1, u2), each of length width, for one lattice row.
@@ -24,9 +32,18 @@ def row_uniforms(seed: int, replica: int, row: int, width: int):
     """
     if seed < 0 or replica < 0 or row < 1 or width < 1:
         raise ValueError("need seed >= 0, replica >= 0, row >= 1, width >= 1")
-    key = np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, row & _MASK64, 0], dtype=np.uint64)
-    r = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(2 * width)
+    _BITGEN.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, row & _MASK64, 0], dtype=np.uint64),
+            "key": np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64),
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    r = _GEN.random(2 * width)
     return r[0::2], r[1::2]
 
 

@@ -158,6 +158,26 @@ def test_workers_do_not_change_output(tmp_path, monkeypatch):
     assert csv_path.read_bytes() == outs[0]
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+def test_bad_workers_env_is_a_config_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("SIXVERTEX_WORKERS", value)
+    rc = main(["converge", "--seed", "1", "--sizes", "20", "--replicas", "2"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config"
+    assert "SIXVERTEX_WORKERS" in err["error"]["message"]
+
+
+def test_non_integer_workers_in_config_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SIXVERTEX_WORKERS", raising=False)
+    cfg = tmp_path / "conf.json"
+    cfg.write_text('{"workers": "2"}')
+    rc = main(["converge", "--seed", "1", "--sizes", "20", "--replicas", "2",
+               "--config", str(cfg)])
+    assert rc == 2
+    assert "--workers" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_hammersley_subcommand(tmp_path, capsys):
     report = tmp_path / "h.json"
     rc = main(["hammersley", "--seed", "2", "--p", "0.5", "--width", "20",

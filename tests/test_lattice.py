@@ -24,7 +24,8 @@ from sixvertex.lattice import (
     select_color,
     verify_monotonicity,
 )
-from sixvertex.lmatrix import vertex_outcome
+from sixvertex.lmatrix import MAX_COLORS, vertex_outcome
+from sixvertex.rng import cell_uniforms
 
 HOMOG = make_field(0.3, 0.7)
 INHOMOG = make_field([[0.1, 0.4], [0.3, 0.2], [0.25, 0.35]],
@@ -250,7 +251,7 @@ def test_colored_sampler_shapes_and_admissibility():
 
 def test_unit_blocks_fold_back_to_plain_sampler():
     scheme = make_coloring(1, 1, HOMOG)
-    # 9 shells also exercises the wide-mask (>8 color) table representation
+    # 9 shells also exercises the wide (uint32) mask dtype
     for k, seed in ((1, 0), (4, 7), (9, 2)):
         colored = sample_colored_cs6v(k, scheme, HOMOG, seed)
         plain = sample_cs6v(k, k, HOMOG, seed)
@@ -261,10 +262,65 @@ def test_unit_blocks_fold_back_to_plain_sampler():
 
 def test_colored_sampler_shell_count_capped():
     scheme = make_coloring(1, 1, HOMOG)
-    with pytest.raises(ValueError, match="outcome tables"):
-        sample_colored_cs6v(13, scheme, HOMOG, 0)
+    with pytest.raises(ValueError, match=f"1..{MAX_COLORS}"):
+        sample_colored_cs6v(MAX_COLORS + 1, scheme, HOMOG, 0)
     with pytest.raises(ValueError):
         sample_colored_cs6v(0, scheme, HOMOG, 0)
+
+
+def test_colored_sampler_runs_at_the_color_limit():
+    scheme = make_coloring(1, 1, HOMOG)
+    e = sample_colored_cs6v(MAX_COLORS, scheme, HOMOG, 3)
+    assert e.v_edges.dtype == np.uint32
+    plain = sample_cs6v(MAX_COLORS, MAX_COLORS, HOMOG, 3)
+    assert np.array_equal(mod2_project(e).v_edges, plain.v_edges)
+    assert np.array_equal(mod2_project(e).h_edges, plain.h_edges)
+
+
+FIELD_2X3 = make_field([[0.1, 0.4, 0.3], [0.25, 0.35, 0.2]],
+                       [[0.7, 0.8, 0.6], [0.9, 0.75, 0.65]])  # I=2, J=3
+
+
+def _replay_colored(n, scheme, field, seed):
+    """Vertex-by-vertex reference for sample_colored_cs6v: the scalar two-coin
+    rule on each shell's color window, fed by the per-cell uniforms."""
+    width, height = scheme.bx * n, scheme.by * n
+    v = np.zeros((width, height), dtype=np.int64)
+    hE = np.zeros((width, height), dtype=np.int64)
+    south = [0] * width
+    for y in range(1, height + 1):
+        west = 0
+        for x in range(1, width + 1):
+            k = scheme.block(x, y)
+            shift = n - k
+            u1, u2 = cell_uniforms(seed, 0, x, y)
+            b1, b2 = field.at(x, y)
+            north, east = vertex_outcome(south[x - 1] >> shift, west >> shift,
+                                         k, u1 < b1, u2 >= b2)
+            south[x - 1], west = north << shift, east << shift
+            v[x - 1, y - 1], hE[x - 1, y - 1] = south[x - 1], west
+    return v, hE
+
+
+@pytest.mark.parametrize("direction", [(1, 1), (2, 1), (Fraction(1, 2), 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
+def test_colored_sampler_matches_scalar_replay(n, direction):
+    scheme = make_coloring(*direction, FIELD_2X3)
+    e = sample_colored_cs6v(n, scheme, FIELD_2X3, 5)
+    v, hE = _replay_colored(n, scheme, FIELD_2X3, 5)
+    assert np.array_equal(e.v_edges, v)
+    assert np.array_equal(e.h_edges, hE)
+
+
+def test_sixteen_color_sample_is_admissible_and_folds_to_cs6v():
+    scheme = make_coloring(1, 1, FIELD_2X3)
+    e = sample_colored_cs6v(16, scheme, FIELD_2X3, 7)
+    assert (e.width, e.height) == (96, 96)
+    assert admissibility_violations(e, scheme) == []
+    plain = sample_cs6v(96, 96, FIELD_2X3, 7)
+    folded = mod2_project(e)
+    assert np.array_equal(folded.v_edges, plain.v_edges)
+    assert np.array_equal(folded.h_edges, plain.h_edges)
 
 
 def test_two_colored_first_color_is_plain_sample():

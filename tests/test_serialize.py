@@ -138,3 +138,24 @@ def test_svg_draws_every_color_group():
     e = sample_colored_cs6v(4, make_coloring(1, 1, FIELD), FIELD, 2)
     svg = ensemble_svg(e)
     assert svg.count("<g ") >= int((e.v_edges | e.h_edges).max()).bit_length()
+
+
+# SHA-256 of renderings pinned before the edge scan was vectorized; the
+# element order (x-major, then y, vertical before horizontal) is part of it.
+SVG_PINS = {
+    "colored": "15eb118c9483c1e85051228d57bc9e8b0f42aebb5136558395f1a3956ba5ec70",
+    "s6v": "e8833219c5cfff275f2ebb56c18c8ad32710c07fca20e837a42976c7e6444ff5",
+}
+
+
+def test_svg_bytes_are_pinned():
+    import hashlib
+    colored = sample_colored_cs6v(10, make_coloring(16, 16, FIELD), FIELD, 1)
+    plain = sample_s6v(30, 20, make_field([[0.2, 0.6], [0.5, 0.4]],
+                                          [[0.7, 0.3], [0.8, 0.5]]), 4)
+    got = {
+        "colored": ensemble_svg(colored),
+        "s6v": ensemble_svg(plain, comment="s6v -- check"),
+    }
+    for name, svg in got.items():
+        assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[name], name
