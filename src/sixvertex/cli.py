@@ -8,10 +8,13 @@ Subcommands:
     hammersley     point-process degeneration checks
     export-golden  print the canonical two-color weight table
 
-Options can be preloaded from a JSON file via --config; flags given
-explicitly on the command line override file values.  Every randomized
-subcommand requires --seed.  Worker counts come from --workers unless the
-SIXVERTEX_WORKERS environment variable is set, which wins.
+Each option is declared once, in OPTIONS; COMMANDS gives each subcommand's
+handler, help line and option defaults, and the parser and the config-file
+key check both read them.  Options can be preloaded from a JSON file via
+--config; flags given explicitly on the command line override file values.
+Every randomized subcommand requires --seed; the seeds a run derives from it,
+and --replica, must stay below 2**64.  Worker counts come from --workers
+unless the SIXVERTEX_WORKERS environment variable is set, which wins.
 
 Output files embed the resolved run configuration (command, semantic
 parameters, package version).  Execution details that cannot change the
@@ -31,7 +34,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +72,8 @@ from .lmatrix import MAX_COLORS
 from .pool import resolve_workers
 from .render_svg import write_svg
 from .report import VerificationReport
-from .serialize import write_ensemble
+from .rng import MAX_SEED
+from .serialize import ensemble_to_json, write_ensemble
 
 
 class ConfigError(Exception):
@@ -76,29 +82,6 @@ class ConfigError(Exception):
 
 #: Option keys that never influence the produced data.
 EXECUTION_KEYS = frozenset({"config", "workers", "out", "json", "csv", "svg"})
-
-DEFAULTS: dict[str, dict] = {
-    "verify": {
-        "seed": None, "n": 3, "b1": 0.3, "b2": 0.7, "trials": 200,
-        "max_size": 12, "replicas": 150, "workers": None, "out": None,
-    },
-    "sample": {
-        "seed": None, "model": "cs6v", "width": 40, "height": 40,
-        "blocks": 4, "dir": "1,1", "b1": 0.3, "b2": 0.7, "field": None,
-        "replica": 0, "workers": None, "out": None, "json": None, "svg": None,
-    },
-    "converge": {
-        "seed": None, "model": "s6v", "dir": "1,1", "sizes": "250,500,1000",
-        "replicas": 8, "b1": 0.3, "b2": 0.7, "p": None, "field": None,
-        "tol": None, "workers": None, "csv": None, "json": None,
-    },
-    "hammersley": {
-        "seed": None, "p": 0.25, "width": 60, "height": 60,
-        "coupling_seeds": 10, "law_max": 3, "sizes": None, "replicas": 8,
-        "dir": "1,1", "tol": None, "workers": None, "out": None,
-    },
-    "export-golden": {"out": None},
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,84 +108,21 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="sixvertex", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"sixvertex {__version__}")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(sp, seed=True):
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", help="JSON file of option values")
-        if seed:
-            sp.add_argument("--seed", type=int, help="base RNG seed (required)")
-            sp.add_argument("--workers", type=int,
-                            help="process count for replica-parallel work")
-
-    sp = sub.add_parser("verify", help="run the verification battery")
-    common(sp)
-    sp.add_argument("--n", type=int, help="max color count for exact checks")
-    sp.add_argument("--b1", type=float, help="cross probability for sampled checks")
-    sp.add_argument("--b2", type=float, help="no-nucleation probability")
-    sp.add_argument("--trials", type=int, help="monotonicity trial count")
-    sp.add_argument("--max-size", dest="max_size", type=int,
-                    help="max grid side for monotonicity trials")
-    sp.add_argument("--replicas", type=int, help="ergodic-check replica count")
-    sp.add_argument("--out", help="write the JSON report here")
-
-    sp = sub.add_parser("sample", help="draw one configuration")
-    common(sp)
-    sp.add_argument("--model", choices=("s6v", "cs6v", "colored"))
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--blocks", type=int, help="shell count (colored model)")
-    sp.add_argument("--dir", help="direction 'x,y' (colored model), fractions allowed")
-    sp.add_argument("--b1", type=float)
-    sp.add_argument("--b2", type=float)
-    sp.add_argument("--field", help="JSON file with b1/b2 matrices")
-    sp.add_argument("--replica", type=int)
-    sp.add_argument("--out", help="binary ensemble output path")
-    sp.add_argument("--json", help="JSON ensemble output path")
-    sp.add_argument("--svg", help="SVG rendering output path")
-
-    sp = sub.add_parser("converge", help="height ratio convergence experiment")
-    common(sp)
-    sp.add_argument("--model", choices=("s6v", "cs6v", "hammersley"))
-    sp.add_argument("--dir", help="direction 'x,y', fractions allowed")
-    sp.add_argument("--sizes", help="comma-separated scale list")
-    sp.add_argument("--replicas", type=int)
-    sp.add_argument("--b1", type=float)
-    sp.add_argument("--b2", type=float)
-    sp.add_argument("--p", type=float,
-                    help="hammersley point density (sets b1=0, b2=1-p)")
-    sp.add_argument("--field", help="JSON file with b1/b2 matrices")
-    sp.add_argument("--tol", type=float,
-                    help="fail unless |final mean - reference| <= tol")
-    sp.add_argument("--csv", help="CSV output path")
-    sp.add_argument("--json", help="JSON output path")
-
-    sp = sub.add_parser("hammersley", help="degeneration checks")
-    common(sp)
-    sp.add_argument("--p", type=float, help="point density in (0, 1)")
-    sp.add_argument("--width", type=int, help="coupling grid width")
-    sp.add_argument("--height", type=int, help="coupling grid height")
-    sp.add_argument("--coupling-seeds", dest="coupling_seeds", type=int,
-                    help="number of consecutive seeds for pathwise coupling")
-    sp.add_argument("--law-max", dest="law_max", type=int,
-                    help="max side for exact law enumeration (<= 3)")
-    sp.add_argument("--sizes", help="run a convergence experiment at these scales")
-    sp.add_argument("--replicas", type=int)
-    sp.add_argument("--dir", help="convergence direction 'x,y'")
-    sp.add_argument("--tol", type=float,
-                    help="gate the convergence mean against the limit value")
-    sp.add_argument("--out", help="write the JSON report here")
-
-    sp = sub.add_parser("export-golden", help="print the two-color weight table")
-    common(sp, seed=False)
-    sp.add_argument("--out", help="output path (default: stdout)")
-
+        for key in command.defaults:
+            value_type, text = OPTIONS[key]
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=value_type,
+                            choices=command.choices.get(key), help=text)
     return p
 
 
 def _merge_options(command: str, ns: argparse.Namespace) -> dict:
     """Layer defaults < config file < explicit flags; validate keys."""
-    defaults = DEFAULTS[command]
-    merged = dict(defaults)
-    cfg_path = getattr(ns, "config", None)
+    spec = COMMANDS[command]
+    merged = dict(spec.defaults)
+    cfg_path = ns.config
     if cfg_path:
         try:
             with open(cfg_path) as f:
@@ -215,36 +135,45 @@ def _merge_options(command: str, ns: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
             norm = key.replace("-", "_")
-            if norm not in defaults:
+            if norm not in spec.defaults:
                 raise ConfigError(
                     f"unknown config key {key!r} for command {command!r}")
+            allowed = spec.choices.get(norm)
+            if allowed is not None and value not in allowed:
+                raise ConfigError(f"config key {key!r} must be one of {allowed}")
             merged[norm] = value
-    for key in defaults:
-        flag = getattr(ns, key, None)
+    for key in spec.defaults:
+        flag = getattr(ns, key)
         if flag is not None:
             merged[key] = flag
     return merged
 
 
-def _require_seed(options: dict) -> int:
+def _require_seed(options: dict, count: int = 1) -> int:
+    """The --seed value; the run uses the count seeds seed..seed+count-1."""
     seed = options.get("seed")
     if seed is None:
         raise ConfigError("--seed is required")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("--seed must be a nonnegative integer")
+    highest = MAX_SEED - count + 1
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= highest:
+        raise ConfigError(f"--seed must be a nonnegative integer <= {highest}")
     return seed
 
 
-def _check_prob(options: dict, key: str, open_interval: bool = False) -> float:
-    v = options.get(key)
+def _check_number(options: dict, key: str, low, high, open_interval: bool = False):
+    """options[key] as the option's declared type, inside [low, high]
+    (high None: no upper bound), or strictly inside (low, high)."""
+    flag = "--" + key.replace("_", "-")
+    value_type = OPTIONS[key][0]
     try:
-        v = float(v)
+        v = value_type(options.get(key))
     except (TypeError, ValueError):
-        raise ConfigError(f"--{key} must be a number") from None
-    if open_interval and not 0.0 < v < 1.0:
-        raise ConfigError(f"--{key} must lie strictly inside (0, 1)")
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"--{key} must lie in [0, 1]")
+        raise ConfigError(f"{flag} must be of type {value_type.__name__}") from None
+    if open_interval and not low < v < high:
+        raise ConfigError(f"{flag} must lie strictly inside ({low}, {high})")
+    if v < low or (high is not None and v > high):
+        upper = "inf" if high is None else high
+        raise ConfigError(f"{flag} must lie in [{low}, {upper}]")
     return v
 
 
@@ -274,7 +203,13 @@ def _parse_sizes(text) -> list[int]:
 
 
 def _load_field(options: dict) -> ParameterField:
+    """The field from --p (b1 = 0, b2 = 1 - p), a --field file, or --b1/--b2."""
     path = options.get("field")
+    if options.get("p") is not None:
+        if path:
+            raise ConfigError("--p and --field cannot be combined")
+        p = _check_number(options, "p", 0, 1, open_interval=True)
+        return make_field(0.0, 1.0 - p)
     if path:
         try:
             with open(path) as f:
@@ -282,7 +217,8 @@ def _load_field(options: dict) -> ParameterField:
             return make_field(data["b1"], data["b2"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad field file {path!r}: {exc}") from exc
-    return make_field(_check_prob(options, "b1"), _check_prob(options, "b2"))
+    return make_field(_check_number(options, "b1", 0, 1),
+                      _check_number(options, "b2", 0, 1))
 
 
 def _workers(options: dict) -> int:
@@ -296,9 +232,45 @@ def _workers(options: dict) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def _emit(report_lines) -> None:
-    for line in report_lines:
-        print(line)
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _finish_battery(cfg: RunConfig, checks: list[VerificationReport],
+                    extra: dict | None = None, tally: bool = False) -> int:
+    """Print the check summaries and the status line (tally: with passed/total),
+    write the sixvertex-<command>-report to --out, return the exit status."""
+    for c in checks:
+        print(c.summary())
+    passed = all(c.passed for c in checks)
+    status = f"{cfg.command}: {'PASS' if passed else 'FAIL'}"
+    if tally:
+        status += f" ({sum(c.passed for c in checks)}/{len(checks)} checks)"
+    print(status)
+    if cfg.options.get("out"):
+        _write_json(cfg.options["out"], {
+            "format": f"sixvertex-{cfg.command}-report",
+            "config": cfg.provenance(),
+            "passed": passed,
+            "checks": [c.to_dict() for c in checks],
+            **(extra or {}),
+        })
+    return 0 if passed else 1
+
+
+def _run_convergence(options: dict, field: ParameterField, model: str,
+                     seed: int, workers: int):
+    """The convergence experiment that the dir, sizes and replicas options ask for."""
+    direction = _parse_direction(options["dir"])
+    sizes = _parse_sizes(options["sizes"])
+    replicas = _check_number(options, "replicas", 1, None)
+    try:
+        return convergence_experiment(direction, field, sizes, replicas, seed,
+                                      model=model, workers=workers)
+    except ValueError as exc:  # the experiment checks its inputs before sampling
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +279,12 @@ def _emit(report_lines) -> None:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     o = cfg.options
-    seed = _require_seed(o)
-    n = int(o["n"])
-    if n < 1:
-        raise ConfigError("--n must be >= 1")
-    trials = int(o["trials"])
-    replicas = int(o["replicas"])
-    if trials < 1 or replicas < 2:
-        raise ConfigError("--trials must be >= 1 and --replicas >= 2")
-    field = make_field(_check_prob(o, "b1"), _check_prob(o, "b2"))
+    seed = _require_seed(o, count=5)  # the coupling check uses seed..seed+4
+    n = _check_number(o, "n", 1, None)
+    trials = _check_number(o, "trials", 1, None)
+    max_size = _check_number(o, "max_size", 1, None)
+    replicas = _check_number(o, "replicas", 2, None)
+    field = _load_field(o)
     workers = _workers(o)
 
     checks: list[VerificationReport] = []
@@ -374,44 +343,26 @@ def _cmd_verify(cfg: RunConfig) -> int:
     checks.append(verify_prop_X_height(shells[0], scheme))
     checks.append(verify_superadditivity(shells, scheme, 4))
 
-    checks.append(verify_monotonicity(trials, int(o["max_size"]), field, seed))
+    checks.append(verify_monotonicity(trials, max_size, field, seed))
     checks.append(verify_ergodic_hypotheses(
         (1, 1), field, 2, replicas, seed, workers=workers))
 
-    _emit(c.summary() for c in checks)
-    passed = all(c.passed for c in checks)
-    print(f"verify: {'PASS' if passed else 'FAIL'} "
-          f"({sum(c.passed for c in checks)}/{len(checks)} checks)")
-    if o.get("out"):
-        doc = {"format": "sixvertex-verify-report",
-               "config": cfg.provenance(),
-               "passed": passed,
-               "checks": [c.to_dict() for c in checks]}
-        with open(o["out"], "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return 0 if passed else 1
+    return _finish_battery(cfg, checks, tally=True)
 
 
 def _cmd_sample(cfg: RunConfig) -> int:
     o = cfg.options
     seed = _require_seed(o)
-    replica = int(o["replica"])
-    if replica < 0:
-        raise ConfigError("--replica must be >= 0")
+    replica = _check_number(o, "replica", 0, MAX_SEED)
     field = _load_field(o)
     model = o["model"]
     if model == "colored":
         x, y = _parse_direction(o["dir"])
-        blocks = int(o["blocks"])
-        if not 1 <= blocks <= MAX_COLORS:
-            raise ConfigError(f"--blocks must be in 1..{MAX_COLORS}")
+        blocks = _check_number(o, "blocks", 1, MAX_COLORS)
         scheme = make_coloring(x, y, field)
         e = sample_colored_cs6v(blocks, scheme, field, seed, replica)
     else:
-        w, h = int(o["width"]), int(o["height"])
-        if w < 1 or h < 1:
-            raise ConfigError("--width and --height must be >= 1")
+        w, h = _check_number(o, "width", 1, None), _check_number(o, "height", 1, None)
         sampler = sample_s6v if model == "s6v" else sample_cs6v
         e = sampler(w, h, field, seed, replica)
     meta = cfg.provenance()
@@ -420,10 +371,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
         write_ensemble(e, o["out"], meta)
         wrote.append(o["out"])
     if o.get("json"):
-        from .serialize import ensemble_to_json
-        with open(o["json"], "w") as f:
-            json.dump(ensemble_to_json(e, meta), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(o["json"], ensemble_to_json(e, meta))
         wrote.append(o["json"])
     if o.get("svg"):
         write_svg(e, o["svg"], comment=json.dumps(meta, sort_keys=True))
@@ -440,29 +388,18 @@ def _cmd_converge(cfg: RunConfig) -> int:
     o = cfg.options
     seed = _require_seed(o)
     model = o["model"]
-    direction = _parse_direction(o["dir"])
-    sizes = _parse_sizes(o["sizes"])
-    replicas = int(o["replicas"])
-    if replicas < 1:
-        raise ConfigError("--replicas must be >= 1")
-    if model == "hammersley" and o.get("p") is not None:
-        p = _check_prob(o, "p", open_interval=True)
-        field = make_field(0.0, 1.0 - p)
-    else:
-        field = _load_field(o)
-    workers = _workers(o)
-    report = convergence_experiment(direction, field, sizes, replicas, seed,
-                                    model=model, workers=workers)
+    if o.get("p") is not None and model != "hammersley":
+        raise ConfigError("--p applies only to --model hammersley")
+    field = _load_field(o)
+    report = _run_convergence(o, field, model, seed, _workers(o))
     meta = cfg.provenance()
     if o.get("csv"):
         with open(o["csv"], "w") as f:
             f.write(report.to_csv(meta))
     if o.get("json"):
-        with open(o["json"], "w") as f:
-            json.dump(report.to_json_dict(meta), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(o["json"], report.to_json_dict(meta))
     mean = report.final_mean
-    line = (f"converge {model} dir={o['dir']} sizes={sizes}: "
+    line = (f"converge {model} dir={o['dir']} sizes={report.sizes}: "
             f"final mean {mean:.6f}, replica std {report.replica_std:.6f}")
     if report.reference is not None:
         line += f", reference {report.reference:.6f}"
@@ -478,15 +415,11 @@ def _cmd_converge(cfg: RunConfig) -> int:
 
 def _cmd_hammersley(cfg: RunConfig) -> int:
     o = cfg.options
-    seed = _require_seed(o)
-    p = _check_prob(o, "p", open_interval=True)
-    law_max = int(o["law_max"])
-    if not 1 <= law_max <= 3:
-        raise ConfigError("--law-max must be 1..3")
-    w, h = int(o["width"]), int(o["height"])
-    nseeds = int(o["coupling_seeds"])
-    if w < 1 or h < 1 or nseeds < 1:
-        raise ConfigError("--width/--height/--coupling-seeds must be >= 1")
+    p = _check_number(o, "p", 0, 1, open_interval=True)
+    law_max = _check_number(o, "law_max", 1, 3)
+    w, h = _check_number(o, "width", 1, None), _check_number(o, "height", 1, None)
+    nseeds = _check_number(o, "coupling_seeds", 1, None)
+    seed = _require_seed(o, count=nseeds)
     workers = _workers(o)
 
     checks: list[VerificationReport] = []
@@ -506,15 +439,11 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
                 ident.fail(f"limit mismatch at ({xv}, {yv}): {lhs} vs {rhs}")
     checks.append(ident)
 
-    conv_doc = None
+    extra = {}
     if o.get("sizes"):
-        sizes = _parse_sizes(o["sizes"])
-        replicas = int(o["replicas"])
-        direction = _parse_direction(o["dir"])
-        field = make_field(0.0, 1.0 - p)
-        report = convergence_experiment(direction, field, sizes, replicas,
-                                        seed, model="hammersley", workers=workers)
-        conv_doc = report.to_json_dict(cfg.provenance())
+        report = _run_convergence(o, make_field(0.0, 1.0 - p), "hammersley",
+                                  seed, workers)
+        extra["convergence"] = report.to_json_dict(cfg.provenance())
         line = (f"convergence: final mean {report.final_mean:.6f}"
                 + (f", reference {report.reference:.6f}"
                    if report.reference is not None else ""))
@@ -527,20 +456,7 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
                           f"> {o['tol']}")
             checks.append(gate)
 
-    _emit(c.summary() for c in checks)
-    passed = all(c.passed for c in checks)
-    print(f"hammersley: {'PASS' if passed else 'FAIL'}")
-    if o.get("out"):
-        doc = {"format": "sixvertex-hammersley-report",
-               "config": cfg.provenance(),
-               "passed": passed,
-               "checks": [c.to_dict() for c in checks]}
-        if conv_doc is not None:
-            doc["convergence"] = conv_doc
-        with open(o["out"], "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return 0 if passed else 1
+    return _finish_battery(cfg, checks, extra)
 
 
 def _cmd_export_golden(cfg: RunConfig) -> int:
@@ -555,20 +471,80 @@ def _cmd_export_golden(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "converge": _cmd_converge,
-    "hammersley": _cmd_hammersley,
-    "export-golden": _cmd_export_golden,
+# ---------------------------------------------------------------------------
+# Option table: the parser and the config-file check both read it
+
+
+#: Every option key -> (type of its flag's value, help); the flag is --key
+#: with hyphens for underscores.
+OPTIONS: dict[str, tuple[type, str]] = {
+    "seed": (int, "base RNG seed (required)"),
+    "workers": (int, "process count for replica-parallel work"),
+    "model": (str, "which model to sample"),
+    "n": (int, "max color count for exact checks"),
+    "b1": (float, "cross probability (homogeneous field)"),
+    "b2": (float, "no-nucleation probability (homogeneous field)"),
+    "field": (str, "JSON file with b1/b2 matrices"),
+    "p": (float, "point density in (0, 1): the field b1 = 0, b2 = 1 - p"),
+    "width": (int, "box width (sample) or coupling grid width"),
+    "height": (int, "box height (sample) or coupling grid height"),
+    "blocks": (int, "shell count (colored model)"),
+    "dir": (str, "direction 'x,y', fractions allowed"),
+    "replica": (int, "replica index of the sample"),
+    "replicas": (int, "replica count"),
+    "sizes": (str, "comma-separated scales of a convergence experiment"),
+    "tol": (float, "fail unless |final mean - reference| <= tol"),
+    "trials": (int, "monotonicity trial count"),
+    "max_size": (int, "max grid side for monotonicity trials"),
+    "coupling_seeds": (int, "number of consecutive seeds for pathwise coupling"),
+    "law_max": (int, "max side for exact law enumeration (<= 3)"),
+    "out": (str, "output path: binary ensemble, JSON report or golden table"),
+    "json": (str, "JSON output path"),
+    "csv": (str, "CSV output path"),
+    "svg": (str, "SVG rendering output path"),
+}
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler, its help line, and the option keys it takes
+    with their defaults (in the order provenance lists them) and choices."""
+
+    handler: Callable[[RunConfig], int]
+    help: str
+    defaults: dict
+    choices: dict = {}
+
+
+COMMANDS: dict[str, Command] = {
+    "verify": Command(_cmd_verify, "run the verification battery", {
+        "seed": None, "n": 3, "b1": 0.3, "b2": 0.7, "trials": 200,
+        "max_size": 12, "replicas": 150, "workers": None, "out": None,
+    }),
+    "sample": Command(_cmd_sample, "draw one configuration", {
+        "seed": None, "model": "cs6v", "width": 40, "height": 40,
+        "blocks": 4, "dir": "1,1", "b1": 0.3, "b2": 0.7, "field": None,
+        "replica": 0, "workers": None, "out": None, "json": None, "svg": None,
+    }, choices={"model": ("s6v", "cs6v", "colored")}),
+    "converge": Command(_cmd_converge, "height ratio convergence experiment", {
+        "seed": None, "model": "s6v", "dir": "1,1", "sizes": "250,500,1000",
+        "replicas": 8, "b1": 0.3, "b2": 0.7, "p": None, "field": None,
+        "tol": None, "workers": None, "csv": None, "json": None,
+    }, choices={"model": ("s6v", "cs6v", "hammersley")}),
+    "hammersley": Command(_cmd_hammersley, "degeneration checks", {
+        "seed": None, "p": 0.25, "width": 60, "height": 60,
+        "coupling_seeds": 10, "law_max": 3, "sizes": None, "replicas": 8,
+        "dir": "1,1", "tol": None, "workers": None, "out": None,
+    }),
+    "export-golden": Command(_cmd_export_golden,
+                             "print the two-color weight table", {"out": None}),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Programmatic entry point; returns the process exit status."""
-    if cfg.command not in _COMMANDS:
+    if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    return _COMMANDS[cfg.command](cfg)
+    return COMMANDS[cfg.command].handler(cfg)
 
 
 def main(argv=None) -> int:

@@ -299,7 +299,8 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
     Each replica draws one box at the largest size and reads every smaller
     size from the same realization, so per-replica gaps measure actual
     Cauchy behavior along a growing sample.  With homogeneous parameters the
-    closed-form limit is attached as reference.
+    closed-form limit is attached as reference.  model="hammersley" samples
+    Bernoulli(p) points and needs the 1x1 field b1 = 0, b2 = 1 - p in (0, 1).
     """
     x, y = Fraction(direction[0]), Fraction(direction[1])
     if x <= 0 or y <= 0:
@@ -311,6 +312,10 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
         raise ValueError("smallest size yields an empty box")
     if model not in ("s6v", "cs6v", "hammersley"):
         raise ValueError(f"unknown model {model!r}")
+    if model == "hammersley" and not (field.I == field.J == 1 and field.b1[0, 0] == 0
+                                      and 0 < field.b2[0, 0] < 1):
+        raise ValueError("the hammersley model needs a 1x1 field with b1 = 0 "
+                         "and b2 = 1 - p in (0, 1)")
     reference = None
     if field.I == 1 and field.J == 1:
         b1v, b2v = float(field.b1[0, 0]), float(field.b2[0, 0])

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+#: Largest seed or replica index: each is one 64-bit word of the Philox key.
+MAX_SEED = (1 << 64) - 1
 
 # One generator serves every row: Philox is counter-based, so resetting its
 # key, counter and output buffer reproduces a freshly built stream exactly.
@@ -30,13 +31,13 @@ def row_uniforms(seed: int, replica: int, row: int, width: int):
     always sees the same pair (u1[x-1], u2[x-1]) no matter how wide the row
     was sampled.
     """
-    if seed < 0 or replica < 0 or row < 1 or width < 1:
-        raise ValueError("need seed >= 0, replica >= 0, row >= 1, width >= 1")
+    if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED) or row < 1 or width < 1:
+        raise ValueError("need seed and replica in 0..MAX_SEED, row >= 1, width >= 1")
     _BITGEN.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.array([0, 0, row & _MASK64, 0], dtype=np.uint64),
-            "key": np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64),
+            "counter": np.array([0, 0, row, 0], dtype=np.uint64),
+            "key": np.array([seed, replica], dtype=np.uint64),
         },
         "buffer": _EMPTY_BUFFER,
         "buffer_pos": 4,

@@ -28,9 +28,15 @@ import numpy as np
 
 from .degenerations import PointSet
 from .lattice import PathEnsemble, _mask_dtype
+from .lmatrix import MAX_COLORS
 
 MAGIC = b"S6VE"
 VERSION = 1
+
+
+def _plane_bytes(count: int) -> int:
+    """Packed size of a plane of count bits, padded to whole 64-bit words."""
+    return ((count + 7) // 8 + 7) // 8 * 8
 
 
 def _pack_plane(bits: np.ndarray) -> bytes:
@@ -42,7 +48,7 @@ def _pack_plane(bits: np.ndarray) -> bytes:
 
 
 def _unpack_plane(buf: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
-    nbytes = ((count + 7) // 8 + 7) // 8 * 8
+    nbytes = _plane_bytes(count)
     arr = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
     bits = np.unpackbits(arr, count=count, bitorder="little")
     return bits, offset + nbytes
@@ -78,8 +84,17 @@ def ensemble_from_bytes(buf: bytes) -> tuple[PathEnsemble, dict]:
         "<HHIIHHI", buf[4:24])
     if version != VERSION:
         raise ValueError(f"unsupported format version {version}")
-    meta = json.loads(buf[24:24 + meta_len].decode("utf-8")) if meta_len else {}
+    if not 1 <= n_colors <= MAX_COLORS:
+        raise ValueError(f"n_colors {n_colors} outside 1..{MAX_COLORS}")
+    # The header fixes the total length (so meta_len must fit); check it
+    # before allocating anything.
     offset = 24 + meta_len
+    expected = offset + n_colors * (2 * _plane_bytes(width * height)
+                                    + _plane_bytes(height) + _plane_bytes(width))
+    if len(buf) != expected:
+        raise ValueError(f"ensemble data is {len(buf)} bytes, "
+                         f"its header implies {expected}")
+    meta = json.loads(buf[24:offset].decode("utf-8")) if meta_len else {}
     dtype = _mask_dtype(n_colors)
     v = np.zeros((width, height), dtype=dtype)
     hE = np.zeros((width, height), dtype=dtype)

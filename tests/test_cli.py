@@ -1,11 +1,12 @@
 """Command line interface: subcommands, config layering, and determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from sixvertex import __version__
+from sixvertex import __version__, cli
 from sixvertex.cli import main
 from sixvertex.serialize import read_ensemble
 
@@ -83,6 +84,20 @@ def test_config_file_layering(tmp_path):
     (["hammersley", "--seed", "1", "--p", "0"], "(0, 1)"),
     (["verify", "--seed", "1", "--n", "0"], "--n"),
     ([], "subcommand"),
+    # --p only sets a hammersley field, and never together with --field
+    (["converge", "--seed", "1", "--model", "s6v", "--p", "0.25"], "--p"),
+    (["converge", "--seed", "1", "--model", "hammersley", "--p", "0.25",
+      "--field", "field.json"], "--field"),
+    # the hammersley model would read b2 alone and ignore b1
+    (["converge", "--seed", "1", "--model", "hammersley", "--b1", "0.9",
+      "--sizes", "20", "--replicas", "2"], "b1 = 0"),
+    # seeds and replica indices are 64-bit rng key words
+    (["sample", "--seed", str(2**64)], "--seed"),
+    (["sample", "--seed", str(1 + 2**64)], "--seed"),
+    (["sample", "--seed", "1", "--replica", str(2**64)], "--replica"),
+    (["verify", "--seed", str(2**64 - 4), "--n", "1", "--trials", "1",
+      "--replicas", "2"], "--seed"),
+    (["hammersley", "--seed", str(2**64 - 3), "--coupling-seeds", "4"], "--seed"),
 ])
 def test_config_errors_are_json_on_stderr(argv, fragment, capsys):
     rc = main(argv)
@@ -99,6 +114,77 @@ def test_unknown_config_key(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert "no_such_option" in err["error"]["message"]
+
+
+def test_largest_seed_and_replica_are_accepted(capsys):
+    top = str(2**64 - 1)
+    assert main(["sample", "--seed", top, "--replica", top, "--width", "3",
+                 "--height", "3"]) == 0
+    assert main(["hammersley", "--seed", str(2**64 - 3), "--coupling-seeds", "3",
+                 "--width", "4", "--height", "4", "--law-max", "1"]) == 0
+
+
+def test_config_value_outside_the_commands_choices(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text('{"model": "hammersley"}')
+    rc = main(["sample", "--seed", "1", "--config", str(cfg)])
+    assert rc == 2
+    assert "model" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+# Every option value of each subcommand at its defaults, in order; provenance
+# leaves out the EXECUTION keys.
+DEFAULT_OPTIONS = {
+    "verify": [("seed", None), ("n", 3), ("b1", 0.3), ("b2", 0.7),
+               ("trials", 200), ("max_size", 12), ("replicas", 150),
+               ("workers", None), ("out", None)],
+    "sample": [("seed", None), ("model", "cs6v"), ("width", 40), ("height", 40),
+               ("blocks", 4), ("dir", "1,1"), ("b1", 0.3), ("b2", 0.7),
+               ("field", None), ("replica", 0), ("workers", None), ("out", None),
+               ("json", None), ("svg", None)],
+    "converge": [("seed", None), ("model", "s6v"), ("dir", "1,1"),
+                 ("sizes", "250,500,1000"), ("replicas", 8), ("b1", 0.3),
+                 ("b2", 0.7), ("p", None), ("field", None), ("tol", None),
+                 ("workers", None), ("csv", None), ("json", None)],
+    "hammersley": [("seed", None), ("p", 0.25), ("width", 60), ("height", 60),
+                   ("coupling_seeds", 10), ("law_max", 3), ("sizes", None),
+                   ("replicas", 8), ("dir", "1,1"), ("tol", None),
+                   ("workers", None), ("out", None)],
+    "export-golden": [("out", None)],
+}
+EXECUTION = {"workers", "out", "json", "csv", "svg"}
+
+
+def _resolved_options(command, monkeypatch, argv=()):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert main([command, *argv]) == 0
+    return seen.pop()
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_OPTIONS))
+def test_default_options_and_provenance_are_pinned(command, monkeypatch):
+    cfg = _resolved_options(command, monkeypatch)
+    assert list(cfg.options.items()) == DEFAULT_OPTIONS[command]
+    assert list(cfg.provenance()["params"].items()) == [
+        (k, v) for k, v in DEFAULT_OPTIONS[command] if k not in EXECUTION]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_OPTIONS))
+def test_every_flag_is_a_config_key(command, tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.M))
+    flags -= {"--help", "--config"}
+    assert len(flags) == len(DEFAULT_OPTIONS[command])
+    defaults = dict(DEFAULT_OPTIONS[command])
+    cfg = tmp_path / "conf.json"
+    for flag in sorted(flags):
+        key = flag[2:].replace("-", "_")
+        for spelling in (flag[2:], key):
+            cfg.write_text(json.dumps({spelling: defaults[key]}))
+            resolved = _resolved_options(command, monkeypatch, ["--config", str(cfg)])
+            assert resolved.options == defaults, spelling
 
 
 def test_verify_quick_battery(tmp_path, capsys):

@@ -35,6 +35,8 @@ def test_cell_uniforms_match_row_uniforms():
 
 
 def test_row_uniforms_rejects_bad_addresses():
-    for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0)):
+    # seeds and replicas are 64-bit key words: 2**64 must not alias 0
+    for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0),
+                 (2**64, 0, 1, 1), (1 + 2**64, 0, 1, 1), (0, 2**64, 1, 1)):
         with pytest.raises(ValueError):
             rng.row_uniforms(*args)

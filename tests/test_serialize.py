@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sixvertex.degenerations import sample_pointset
 from sixvertex.lattice import (
@@ -76,6 +77,36 @@ def test_binary_rejects_garbage():
     bad[4] = 99  # unsupported version
     with pytest.raises(ValueError):
         ensemble_from_bytes(bytes(bad))
+
+
+# A 4x2 two-color ensemble: header, a small metadata blob and 8 planes.
+FUZZ_BLOB = ensemble_to_bytes(
+    sample_colored_cs6v(2, make_coloring(2, 1, FIELD), FIELD, 3), {"k": 1})
+# Bytes 13-15 and 17-19 are the high bytes of width and height; flipping one
+# would claim a box of billions of cells, which the fuzz keeps out of its inputs.
+FLIP_OFFSETS = [i for i in range(len(FUZZ_BLOB)) if i not in (13, 14, 15, 17, 18, 19)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["truncate", "extend", "flip"]), data=st.data())
+def test_binary_parser_rejects_or_round_trips_mangled_bytes(kind, data):
+    if kind == "truncate":
+        buf = FUZZ_BLOB[:data.draw(st.integers(0, len(FUZZ_BLOB) - 1))]
+    elif kind == "extend":
+        buf = FUZZ_BLOB + data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        mangled = bytearray(FUZZ_BLOB)
+        offset = data.draw(st.sampled_from(FLIP_OFFSETS))
+        mangled[offset] ^= 1 << data.draw(st.integers(0, 7))
+        buf = bytes(mangled)
+    try:
+        e, meta = ensemble_from_bytes(buf)
+    except ValueError:
+        return
+    assert kind == "flip", "a buffer of the wrong length must be rejected"
+    again, meta_again = ensemble_from_bytes(ensemble_to_bytes(e, meta))
+    _assert_same(e, again)
+    assert meta_again == meta
 
 
 def test_file_round_trip(tmp_path):
