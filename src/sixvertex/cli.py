@@ -90,6 +90,7 @@ class RunConfig:
 
     command: str
     options: dict
+    explicit: frozenset = frozenset()  # keys set by a flag or the config file
 
     def provenance(self) -> dict:
         """The dict embedded in output files: semantic parameters only."""
@@ -118,10 +119,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _merge_options(command: str, ns: argparse.Namespace) -> dict:
-    """Layer defaults < config file < explicit flags; validate keys."""
+def _merge_options(command: str, ns: argparse.Namespace) -> tuple[dict, frozenset]:
+    """Layer defaults < config file < explicit flags; validate keys.  Returns
+    the merged options and the keys set by the file or a flag."""
     spec = COMMANDS[command]
-    merged = dict(spec.defaults)
+    given = {}
     cfg_path = ns.config
     if cfg_path:
         try:
@@ -141,12 +143,9 @@ def _merge_options(command: str, ns: argparse.Namespace) -> dict:
             allowed = spec.choices.get(norm)
             if allowed is not None and value not in allowed:
                 raise ConfigError(f"config key {key!r} must be one of {allowed}")
-            merged[norm] = value
-    for key in spec.defaults:
-        flag = getattr(ns, key)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+            given[norm] = value
+    given.update((k, getattr(ns, k)) for k in spec.defaults if getattr(ns, k) is not None)
+    return {**spec.defaults, **given}, frozenset(given)
 
 
 def _require_seed(options: dict, count: int = 1) -> int:
@@ -162,12 +161,16 @@ def _require_seed(options: dict, count: int = 1) -> int:
 
 def _check_number(options: dict, key: str, low, high, open_interval: bool = False):
     """options[key] as the option's declared type, inside [low, high]
-    (high None: no upper bound), or strictly inside (low, high)."""
+    (high None: no upper bound), or strictly inside (low, high).  Booleans,
+    NaN, and non-integral numbers for an int option are rejected, not rounded."""
     flag = "--" + key.replace("_", "-")
     value_type = OPTIONS[key][0]
+    raw = options.get(key)
     try:
-        v = value_type(options.get(key))
-    except (TypeError, ValueError):
+        v = value_type(raw)
+        if isinstance(raw, bool) or (isinstance(raw, float) and v != raw):
+            raise TypeError  # a boolean, a rounded or a NaN config value
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{flag} must be of type {value_type.__name__}") from None
     if open_interval and not low < v < high:
         raise ConfigError(f"{flag} must lie strictly inside ({low}, {high})")
@@ -356,6 +359,9 @@ def _cmd_sample(cfg: RunConfig) -> int:
     replica = _check_number(o, "replica", 0, MAX_SEED)
     field = _load_field(o)
     model = o["model"]
+    ignored = cfg.explicit & ({"width", "height"} if model == "colored" else {"blocks", "dir"})
+    if ignored:
+        raise ConfigError(f"--model {model} takes no --{', --'.join(sorted(ignored))}")
     if model == "colored":
         x, y = _parse_direction(o["dir"])
         blocks = _check_number(o, "blocks", 1, MAX_COLORS)
@@ -391,6 +397,9 @@ def _cmd_converge(cfg: RunConfig) -> int:
     if o.get("p") is not None and model != "hammersley":
         raise ConfigError("--p applies only to --model hammersley")
     field = _load_field(o)
+    tol = None if o.get("tol") is None else _check_number(o, "tol", 0, None)
+    if tol is not None and (field.I, field.J) != (1, 1):  # checked before sampling
+        raise ConfigError("--tol needs a homogeneous field (known reference)")
     report = _run_convergence(o, field, model, seed, _workers(o))
     meta = cfg.provenance()
     if o.get("csv"):
@@ -404,10 +413,8 @@ def _cmd_converge(cfg: RunConfig) -> int:
     if report.reference is not None:
         line += f", reference {report.reference:.6f}"
     print(line)
-    if o.get("tol") is not None:
-        if report.reference is None:
-            raise ConfigError("--tol needs a homogeneous field (known reference)")
-        ok = abs(mean - report.reference) <= float(o["tol"])
+    if tol is not None:
+        ok = abs(mean - report.reference) <= tol
         print(f"tolerance check: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     return 0
@@ -420,6 +427,7 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
     w, h = _check_number(o, "width", 1, None), _check_number(o, "height", 1, None)
     nseeds = _check_number(o, "coupling_seeds", 1, None)
     seed = _require_seed(o, count=nseeds)
+    tol = None if o.get("tol") is None else _check_number(o, "tol", 0, None)
     workers = _workers(o)
 
     checks: list[VerificationReport] = []
@@ -448,10 +456,10 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
                 + (f", reference {report.reference:.6f}"
                    if report.reference is not None else ""))
         print(line)
-        if o.get("tol") is not None and report.reference is not None:
+        if tol is not None and report.reference is not None:
             gate = VerificationReport("convergence tolerance")
             gate.cases += 1
-            if abs(report.final_mean - report.reference) > float(o["tol"]):
+            if abs(report.final_mean - report.reference) > tol:
                 gate.fail(f"|{report.final_mean:.6f} - {report.reference:.6f}| "
                           f"> {o['tol']}")
             checks.append(gate)
@@ -553,8 +561,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        options = _merge_options(ns.command, ns)
-        return run(RunConfig(ns.command, options))
+        return run(RunConfig(ns.command, *_merge_options(ns.command, ns)))
     except ConfigError as exc:
         json.dump({"error": {"type": "config", "message": str(exc)}},
                   sys.stderr)

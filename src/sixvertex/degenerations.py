@@ -52,6 +52,13 @@ class PointSet:
         return sorted(zip((xs + 1).tolist(), (ys + 1).tolist()))
 
 
+def _point_rows(width: int, height: int, p: float, seed: int, replica: int):
+    """Yield the Bernoulli(p) point indicators of rows 1..height: cell (x, y)
+    holds a point iff its second uniform has u2 >= 1 - p."""
+    for y in range(1, height + 1):
+        yield rng.row_uniforms(seed, replica, y, width)[1] >= 1.0 - p
+
+
 def sample_pointset(width: int, height: int, p: float, seed: int,
                     replica: int = 0) -> PointSet:
     """Independent Bernoulli(p) points, one per cell.
@@ -63,10 +70,18 @@ def sample_pointset(width: int, height: int, p: float, seed: int,
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     grid = np.zeros((width, height), dtype=bool)
-    for y in range(1, height + 1):
-        _, u2 = rng.row_uniforms(seed, replica, y, width)
-        grid[:, y - 1] = u2 >= 1.0 - p
+    for y, points in enumerate(_point_rows(width, height, p, seed, replica)):
+        grid[:, y] = points
     return PointSet(width, height, grid)
+
+
+def _chain_rows(width: int, point_rows):
+    """Yield the longest-chain heights H[:, y] (length width + 1) after each
+    row of point indicators; the yielded array is overwritten by the next."""
+    H = np.zeros(width + 1, dtype=np.int64)
+    for points in point_rows:
+        H[1:] = np.maximum.accumulate(np.maximum(H[1:], H[:-1] + points))
+        yield H
 
 
 def hammersley_height(ps: PointSet) -> np.ndarray:
@@ -74,11 +89,8 @@ def hammersley_height(ps: PointSet) -> np.ndarray:
     ps below-left of (x, y) forming a chain that strictly increases in both
     coordinates.  Shape (width+1, height+1)."""
     H = np.zeros((ps.width + 1, ps.height + 1), dtype=np.int64)
-    xi = ps.grid.astype(np.int64)
-    for y in range(1, ps.height + 1):
-        prev = H[:, y - 1]
-        cand = np.maximum(prev[1:], prev[:-1] + xi[:, y - 1])
-        H[1:, y] = np.maximum.accumulate(cand)
+    for y, row in enumerate(_chain_rows(ps.width, ps.grid.T), start=1):
+        H[:, y] = row
     return H
 
 

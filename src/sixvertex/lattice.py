@@ -148,23 +148,55 @@ class PathEnsemble:
         return int(self.v_edges[x - 1, y - 1]), int(self.h_edges[x - 1, y - 1])
 
 
-def _empty_boundary(width: int, height: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(height, dtype=dtype), np.zeros(width, dtype=dtype)
-
-
-def _scan_row(south: np.ndarray, force0: np.ndarray, force1: np.ndarray,
-              west0: bool) -> np.ndarray:
+def _scan_row(force0: np.ndarray, force1: np.ndarray, west0: bool) -> np.ndarray:
     """East-edge occupancies of one row from its columnwise transfer maps.
 
     Each column acts on the incoming horizontal occupancy as the identity,
     the constant 0, or the constant 1; the row output is determined by the
     last forcing column at or before each position.
     """
-    width = south.shape[0]
-    idx = np.arange(width)
-    forced = force0 | force1
-    last = np.maximum.accumulate(np.where(forced, idx, -1))
+    idx = np.arange(force0.shape[0])
+    last = np.maximum.accumulate(np.where(force0 | force1, idx, -1))
     return np.where(last >= 0, force1[np.maximum(last, 0)], west0)
+
+
+def _sweep_rows(width: int, height: int, field: ParameterField, seed: int,
+                replica: int, variant: str):
+    """Yield the boolean (north, east) occupancies of rows 1..height.
+
+    variant "s6v" runs the step-data rules, anything else the complemented
+    rules with empty boundary.  Only the current row and the field's J
+    distinct parameter rows are held, so the state is O(J * width).
+    """
+    step = variant == "s6v"
+    params = [field.rows(y, width) for y in range(1, min(field.J, height) + 1)]
+    south = np.zeros(width, dtype=bool)
+    west = np.full(width, step)  # west[0] is the boundary input, the rest is east shifted
+    for y in range(1, height + 1):
+        u1, u2 = rng.row_uniforms(seed, replica, y, width)
+        b1r, b2r = params[(y - 1) % field.J]
+        X, N = u1 < b1r, u2 >= b2r
+        if step:  # the south line continues north iff X, the west line east iff not N
+            east = _scan_row(~south & N, south & ~X, True)
+        else:     # meeting lines cross iff X, an empty vertex nucleates iff N
+            east = _scan_row(south & ~X, ~south & N, False)
+        west[1:] = east[:-1]
+        north = np.where(south, west | X, west & N) if step else \
+            np.where(south, ~west | X, ~west & N)
+        yield north, east
+        south = north
+
+
+def _stored_sweep(variant: str, width: int, height: int, field: ParameterField,
+                  seed: int, replica: int) -> PathEnsemble:
+    """The single-color ensemble of one sweep, stored column by column."""
+    v = np.zeros((width, height), dtype=np.uint8)
+    hE = np.zeros_like(v)
+    for y, (north, east) in enumerate(_sweep_rows(width, height, field, seed, replica, variant)):
+        v[:, y] = north
+        hE[:, y] = east
+    left = np.full(height, variant == "s6v", dtype=np.uint8)
+    return PathEnsemble(variant, 1, width, height, v, hE, left, np.zeros(width, dtype=np.uint8))
 
 
 def sample_s6v(width: int, height: int, field: ParameterField, seed: int,
@@ -175,27 +207,7 @@ def sample_s6v(width: int, height: int, field: ParameterField, seed: int,
     column x consumes the cell uniforms (u1, u2): the south line continues
     north iff u1 < b1, the west line continues east iff u2 < b2.
     """
-    v = np.zeros((width, height), dtype=np.uint8)
-    hE = np.zeros((width, height), dtype=np.uint8)
-    south = np.zeros(width, dtype=bool)
-    for y in range(1, height + 1):
-        u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = field.rows(y, width)
-        X = u1 < b1r      # south line continues north
-        P = u2 < b2r      # west line continues east
-        force1 = south & ~X
-        force0 = ~south & ~P
-        east = _scan_row(south, force0, force1, True)
-        west = np.empty(width, dtype=bool)
-        west[0] = True
-        west[1:] = east[:-1]
-        north = np.where(south, west | X, west & ~P)
-        v[:, y - 1] = north
-        hE[:, y - 1] = east
-        south = north
-    left = np.ones(height, dtype=np.uint8)
-    bottom = np.zeros(width, dtype=np.uint8)
-    return PathEnsemble("s6v", 1, width, height, v, hE, left, bottom)
+    return _stored_sweep("s6v", width, height, field, seed, replica)
 
 
 def sample_cs6v(width: int, height: int, field: ParameterField, seed: int,
@@ -206,25 +218,7 @@ def sample_cs6v(width: int, height: int, field: ParameterField, seed: int,
     empty vertex nucleates a corner iff u2 >= b2.  Complementing the s6v
     sample's horizontal edges reproduces this sample exactly.
     """
-    v = np.zeros((width, height), dtype=np.uint8)
-    hE = np.zeros((width, height), dtype=np.uint8)
-    south = np.zeros(width, dtype=bool)
-    for y in range(1, height + 1):
-        u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = field.rows(y, width)
-        X = u1 < b1r      # meeting lines cross
-        N = u2 >= b2r     # empty vertex nucleates
-        force0 = south & ~X
-        force1 = ~south & N
-        east = _scan_row(south, force0, force1, False)
-        west = np.empty(width, dtype=bool)
-        west[0] = False
-        west[1:] = east[:-1]
-        v[:, y - 1] = np.where(south, np.where(west, X, True), np.where(west, False, N))
-        hE[:, y - 1] = east
-        south = v[:, y - 1].astype(bool)
-    left, bottom = _empty_boundary(width, height, np.uint8)
-    return PathEnsemble("cs6v", 1, width, height, v, hE, left, bottom)
+    return _stored_sweep("cs6v", width, height, field, seed, replica)
 
 
 def complement(e: PathEnsemble) -> PathEnsemble:
@@ -287,13 +281,9 @@ def height_H(e: PathEnsemble) -> np.ndarray:
 
 def _parity_fold(arr: np.ndarray, mask: int) -> np.ndarray:
     out = np.zeros(arr.shape, dtype=np.uint8)
-    b = 0
-    m = mask
-    while m:
-        if m & 1:
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
             out ^= ((arr >> b) & 1).astype(np.uint8)
-        b += 1
-        m >>= 1
     return out
 
 
@@ -396,9 +386,10 @@ def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
     dtype = _mask_dtype(n)
     v = np.zeros((width, height), dtype=dtype)
     hE = np.zeros((width, height), dtype=dtype)
+    params = [field.rows(y, width) for y in range(1, min(field.J, height) + 1)]
     for y in range(1, height + 1):
         u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = field.rows(y, width)
+        b1r, b2r = params[(y - 1) % field.J]
         cross = np.where(u1 < b1r, full, 0).tolist()
         nucleate = np.where(u2 >= b2r, nucleation_levels(y), 0).tolist()
         w = west[y - 1]
@@ -439,8 +430,8 @@ def sample_colored_cs6v(n_blocks: int, scheme: ColoringScheme, field: ParameterF
     v, hE = _sweep_levels(width, height, n_blocks, field, seed, replica,
                           [0] * width, [0] * height,
                           lambda y: xallowed & allowed(-(-y // scheme.by)))
-    left, bottom = _empty_boundary(width, height, v.dtype)
-    return PathEnsemble("cs6v", n_blocks, width, height, v, hE, left, bottom)
+    return PathEnsemble("cs6v", n_blocks, width, height, v, hE,
+                        np.zeros(height, dtype=v.dtype), np.zeros(width, dtype=v.dtype))
 
 
 def sample_two_colored_with_boundary(width: int, height: int, field: ParameterField,

@@ -8,7 +8,8 @@ b1 = 0 specialization of the same formula.  For periodic parameters no
 closed form is claimed: the superadditive line counts X along a rational
 direction certify that the ergodic-theorem hypotheses hold empirically, and
 convergence experiments report Cauchy gaps and replica spread instead of a
-reference value.
+reference value.  Convergence experiments read their heights while the
+sampler sweeps the rows, so a replica holds O(width) state, never a box.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ import numpy as np
 from scipy import stats
 
 from . import pool
-from .degenerations import hammersley_height, sample_pointset
+from .degenerations import _chain_rows, _point_rows
 from .lattice import (
     ColoringScheme,
     ParameterField,
     PathEnsemble,
+    _sweep_rows,
     height_H,
     make_coloring,
     mod2_project,
     sample_colored_cs6v,
-    sample_cs6v,
-    sample_s6v,
 )
 from .report import VerificationReport
 
@@ -263,31 +263,27 @@ def _floor_point(x: Fraction, y: Fraction, n: int) -> tuple[int, int]:
 
 
 def _ratio_task(args):
+    """One replica's ratios for ascending sizes, read off while a single
+    sweep advances to each floor point's row; no (w, h) array is built."""
     model, b1, b2, xs, ys, sizes, seed, replica = args
     field = ParameterField(np.asarray(b1), np.asarray(b2))
     x, y = Fraction(xs), Fraction(ys)
     wmax, hmax = _floor_point(x, y, max(sizes))
-    out = []
     if model == "hammersley":
-        p = 1.0 - float(field.b2[0, 0])
-        ps = sample_pointset(wmax, hmax, p, seed, replica)
-        H = hammersley_height(ps)
-        for n in sizes:
-            px, py = _floor_point(x, y, n)
-            out.append(float(H[px, py]) / n)
-        return out
-    if model == "s6v":
-        e = sample_s6v(wmax, hmax, field, seed, replica)
-    elif model == "cs6v":
-        e = sample_cs6v(wmax, hmax, field, seed, replica)
+        rows = _chain_rows(wmax, _point_rows(wmax, hmax, 1.0 - field.b2[0, 0], seed, replica))
     else:
-        raise ValueError(f"unknown model {model!r}")
-    v = e.v_edges.astype(np.int64)
+        rows = (north for north, _ in _sweep_rows(wmax, hmax, field, seed, replica, model))
+    out, at = [], 0
     for n in sizes:
         px, py = _floor_point(x, y, n)
-        crossings = int(v[:px, py - 1].sum()) if py >= 1 else 0
-        val = (py - crossings) if model == "s6v" else crossings
-        out.append(val / n)
+        for _ in range(py - at):
+            row = next(rows)
+        at = py
+        if model == "hammersley":
+            out.append(float(row[px]) / n)
+        else:
+            crossings = int(np.count_nonzero(row[:px]))
+            out.append(((py - crossings) if model == "s6v" else crossings) / n)
     return out
 
 
@@ -296,9 +292,12 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
                            workers: int = 1) -> ConvergenceReport:
     """Sample height ratios h(floor(nx), floor(ny))/n for each size and replica.
 
-    Each replica draws one box at the largest size and reads every smaller
+    Each replica sweeps one box at the largest size and reads every smaller
     size from the same realization, so per-replica gaps measure actual
-    Cauchy behavior along a growing sample.  With homogeneous parameters the
+    Cauchy behavior along a growing sample.  The heights are read as the
+    sweep passes each floor row, so a replica holds O(width) memory (plus
+    the field's J parameter rows), not the box.  Every floor point must
+    have both coordinates >= 1.  With homogeneous parameters the
     closed-form limit is attached as reference.  model="hammersley" samples
     Bernoulli(p) points and needs the 1x1 field b1 = 0, b2 = 1 - p in (0, 1).
     """
@@ -308,8 +307,8 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
     sizes = sorted(int(n) for n in sizes)
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive")
-    if _floor_point(x, y, sizes[0]) < (1, 1):
-        raise ValueError("smallest size yields an empty box")
+    if min(_floor_point(x, y, sizes[0])) < 1:
+        raise ValueError(f"size {sizes[0]} yields an empty box in direction ({x}, {y})")
     if model not in ("s6v", "cs6v", "hammersley"):
         raise ValueError(f"unknown model {model!r}")
     if model == "hammersley" and not (field.I == field.J == 1 and field.b1[0, 0] == 0

@@ -54,6 +54,12 @@ def _unpack_plane(buf: bytes, offset: int, count: int) -> tuple[np.ndarray, int]
     return bits, offset + nbytes
 
 
+def _zero_planes(width: int, height: int, dtype) -> list[np.ndarray]:
+    """Empty v, h, left and bottom planes, in file order."""
+    return [np.zeros(shape, dtype=dtype) for shape in ((width, height), (width, height),
+                                                      (height,), (width,))]
+
+
 def ensemble_to_bytes(e: PathEnsemble, meta: dict | None = None) -> bytes:
     meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     head = MAGIC + struct.pack(
@@ -66,12 +72,8 @@ def ensemble_to_bytes(e: PathEnsemble, meta: dict | None = None) -> bytes:
         0,
         len(meta_blob),
     )
-    planes = []
-    for c in range(e.n_colors):
-        planes.append(_pack_plane((e.v_edges >> c) & 1))
-        planes.append(_pack_plane((e.h_edges >> c) & 1))
-        planes.append(_pack_plane((e.boundary_left >> c) & 1))
-        planes.append(_pack_plane((e.boundary_bottom >> c) & 1))
+    planes = [_pack_plane((a >> c) & 1) for c in range(e.n_colors)
+              for a in (e.v_edges, e.h_edges, e.boundary_left, e.boundary_bottom)]
     return head + meta_blob + b"".join(planes)
 
 
@@ -96,21 +98,13 @@ def ensemble_from_bytes(buf: bytes) -> tuple[PathEnsemble, dict]:
                          f"its header implies {expected}")
     meta = json.loads(buf[24:offset].decode("utf-8")) if meta_len else {}
     dtype = _mask_dtype(n_colors)
-    v = np.zeros((width, height), dtype=dtype)
-    hE = np.zeros((width, height), dtype=dtype)
-    left = np.zeros(height, dtype=dtype)
-    bottom = np.zeros(width, dtype=dtype)
+    planes = _zero_planes(width, height, dtype)
     for c in range(n_colors):
-        bits, offset = _unpack_plane(buf, offset, width * height)
-        v |= (bits.astype(dtype) << c).reshape(width, height)
-        bits, offset = _unpack_plane(buf, offset, width * height)
-        hE |= (bits.astype(dtype) << c).reshape(width, height)
-        bits, offset = _unpack_plane(buf, offset, height)
-        left |= bits.astype(dtype) << c
-        bits, offset = _unpack_plane(buf, offset, width)
-        bottom |= bits.astype(dtype) << c
+        for arr in planes:
+            bits, offset = _unpack_plane(buf, offset, arr.size)
+            arr |= (bits.astype(dtype) << c).reshape(arr.shape)
     variant = "cs6v" if flags & 1 else "s6v"
-    return PathEnsemble(variant, n_colors, width, height, v, hE, left, bottom), meta
+    return PathEnsemble(variant, n_colors, width, height, *planes), meta
 
 
 def write_ensemble(e: PathEnsemble, path, meta: dict | None = None) -> None:
@@ -155,10 +149,7 @@ def ensemble_from_json(doc: dict) -> PathEnsemble:
         raise ValueError("not an ensemble document")
     width, height, n = doc["width"], doc["height"], doc["n_colors"]
     dtype = _mask_dtype(n)
-    v = np.zeros((width, height), dtype=dtype)
-    hE = np.zeros((width, height), dtype=dtype)
-    left = np.zeros(height, dtype=dtype)
-    bottom = np.zeros(width, dtype=dtype)
+    v, hE, left, bottom = _zero_planes(width, height, dtype)
     for entry in doc["colors"]:
         bit = dtype(1 << (entry["color"] - 1))
         for x, y in entry["v"]:

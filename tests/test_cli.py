@@ -98,6 +98,11 @@ def test_config_file_layering(tmp_path):
     (["verify", "--seed", str(2**64 - 4), "--n", "1", "--trials", "1",
       "--replicas", "2"], "--seed"),
     (["hammersley", "--seed", str(2**64 - 3), "--coupling-seeds", "4"], "--seed"),
+    # a tolerance is a nonnegative number, checked before any sampling
+    (["converge", "--seed", "1", "--tol", "-0.1"], "--tol"),
+    (["hammersley", "--seed", "1", "--sizes", "20", "--tol", "-0.1"], "--tol"),
+    # size 2 in direction (1, 1/3) floors to the point (2, 0)
+    (["converge", "--seed", "1", "--dir", "1,1/3", "--sizes", "2,30"], "empty box"),
 ])
 def test_config_errors_are_json_on_stderr(argv, fragment, capsys):
     rc = main(argv)
@@ -218,6 +223,20 @@ def test_converge_outputs_embed_config(tmp_path):
     assert doc["meta"]["params"]["replicas"] == 3
 
 
+def test_tol_without_reference_fails_before_sampling(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"b1": [[0.2], [0.3]], "b2": [[0.7], [0.6]]}))
+    csv_path, json_path = tmp_path / "x.csv", tmp_path / "x.json"
+    rc = main(["converge", "--seed", "1", "--field", str(field), "--tol", "0.1",
+               "--sizes", "20", "--replicas", "2", "--csv", str(csv_path),
+               "--json", str(json_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--tol" in json.loads(captured.err)["error"]["message"]
+    assert captured.out == ""
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_converge_tolerance_gate(capsys):
     rc = main(["converge", "--seed", "3", "--b1", "0.2", "--b2", "0.6",
                "--sizes", "200", "--replicas", "4", "--tol", "0.05"])
@@ -275,3 +294,42 @@ def test_hammersley_subcommand(tmp_path, capsys):
     names = {c["name"] for c in doc["checks"]}
     assert any(n.startswith("hammersley law") for n in names)
     assert "limit identity" in names
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify", {"n": 2.7}), ("verify", {"n": True}), ("verify", {"trials": True}),
+    ("verify", {"max_size": 1e999}), ("verify", {"b1": True}),
+    ("hammersley", {"sizes": "20", "tol": "abc"}),
+])
+def test_config_numbers_are_not_rounded(command, config, tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--seed", "1", "--config", str(cfg)]) == 2
+    key = list(config)[-1].replace("_", "-")
+    assert f"--{key}" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def test_integral_float_config_integer_is_accepted(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text('{"width": 3.0, "height": 2}')
+    out = tmp_path / "e.bin"
+    assert main(["sample", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_ensemble(out)[0].width == 3
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--model", "colored", "--width", "40"], {}),
+    (["--model", "colored"], {"height": 5}),
+    (["--model", "cs6v", "--blocks", "2"], {}),
+    (["--model", "s6v"], {"dir": "1,1"}),
+])
+def test_sample_rejects_options_its_model_ignores(argv, config, tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "e.bin"
+    rc = main(["sample", "--seed", "1", *argv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    ignored = (set(config) | {a[2:] for a in argv if a.startswith("--")}) - {"model"}
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert all(f"--{k}" in message for k in ignored)
+    assert not out.exists()

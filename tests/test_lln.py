@@ -2,13 +2,25 @@
 
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sixvertex.lattice import make_coloring, make_field, sample_colored_cs6v
+from sixvertex.degenerations import hammersley_height, sample_pointset
+from sixvertex.lattice import (
+    height_H,
+    height_h,
+    make_coloring,
+    make_field,
+    sample_colored_cs6v,
+    sample_cs6v,
+    sample_s6v,
+)
 from sixvertex.lln import (
     ConvergenceReport,
+    _ratio_task,
     compute_X,
     convergence_experiment,
     hammersley_limit,
@@ -210,3 +222,63 @@ def test_convergence_input_validation():
                   make_field([[0.0], [0.0]], [[0.75], [0.5]])):
         with pytest.raises(ValueError):
             convergence_experiment((1, 1), field, [10], 2, 0, model="hammersley")
+
+
+def test_empty_floor_box_is_rejected():
+    # (2, 1/3) at size 2 floors to the point (4, 0): no row to read
+    for direction in ((2, Fraction(1, 3)), (Fraction(1, 3), 2)):
+        with pytest.raises(ValueError, match="empty box"):
+            convergence_experiment(direction, HOMOG, [2, 30], 2, 1)
+    rep = convergence_experiment((2, Fraction(1, 3)), HOMOG, [3, 30], 2, 1)
+    assert rep.ratios.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# The streamed readout against materialized samples
+
+FIELD_2X3 = make_field([[0.2, 0.4, 0.1], [0.5, 0.3, 0.6]],
+                       [[0.7, 0.8, 0.6], [0.9, 0.75, 0.65]])
+
+
+def _materialized_ratios(model, field, direction, sizes, seed, replica):
+    """Ratios read off whole edge arrays and point sets: the oracle."""
+    x, y = (Fraction(c) for c in direction)
+    points = [(math.floor(n * x), math.floor(n * y)) for n in sizes]
+    w, h = max(px for px, _ in points), max(py for _, py in points)
+    if model == "hammersley":
+        p = 1.0 - float(field.b2[0, 0])
+        heights = hammersley_height(sample_pointset(w, h, p, seed, replica))
+    elif model == "s6v":
+        heights = height_h(sample_s6v(w, h, field, seed, replica))
+    else:
+        heights = height_H(sample_cs6v(w, h, field, seed, replica))
+    return [int(heights[px, py]) / n for n, (px, py) in zip(sizes, points)]
+
+
+@pytest.mark.parametrize("direction", [(1, 1), (2, 1), (Fraction(1, 2), 3)])
+@pytest.mark.parametrize("model, field", [
+    ("s6v", HOMOG), ("s6v", FIELD_2X3), ("cs6v", HOMOG), ("cs6v", FIELD_2X3),
+    ("hammersley", make_field(0.0, 0.7)),
+])
+def test_streamed_ratios_match_materialized_arrays(model, field, direction):
+    sizes = [7, 12, 12, 31]
+    for seed in (1, 3):
+        rep = convergence_experiment(direction, field, sizes, 3, seed, model=model)
+        oracle = [_materialized_ratios(model, field, direction, sizes, seed, r)
+                  for r in range(3)]
+        assert rep.ratios.tolist() == oracle
+
+
+@pytest.mark.parametrize("model, b1, b2", [
+    ("s6v", 0.3, 0.7), ("cs6v", 0.3, 0.7), ("hammersley", 0.0, 0.75)])
+def test_one_replica_holds_width_sized_state(model, b1, b2):
+    # a materialized 1500 x 1500 sample takes over 2 MB even as bytes
+    width = 1500
+    args = (model, [[b1]], [[b2]], "1", "1", [500, 1000, width], 1, 0)
+    tracemalloc.start()
+    try:
+        _ratio_task(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * width
