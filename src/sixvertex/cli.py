@@ -48,8 +48,8 @@ from .degenerations import (
 )
 from .lattice import (
     ParameterField,
+    _replay_s6v,
     admissibility_violations,
-    complement,
     height_H,
     height_h,
     make_coloring,
@@ -72,7 +72,7 @@ from .lmatrix import MAX_COLORS
 from .pool import resolve_workers
 from .render_svg import write_svg
 from .report import VerificationReport
-from .rng import MAX_SEED
+from .rng import MAX_SEED, row_uniforms
 from .serialize import ensemble_to_json, write_ensemble
 
 
@@ -159,17 +159,22 @@ def _require_seed(options: dict, count: int = 1) -> int:
     return seed
 
 
+def _exact(value_type, raw):
+    """raw converted to value_type; a boolean, NaN, or a float that an int
+    conversion would round raises TypeError instead of being converted."""
+    v = value_type(raw)
+    if isinstance(raw, bool) or (isinstance(raw, float) and v != raw):
+        raise TypeError
+    return v
+
+
 def _check_number(options: dict, key: str, low, high, open_interval: bool = False):
-    """options[key] as the option's declared type, inside [low, high]
-    (high None: no upper bound), or strictly inside (low, high).  Booleans,
-    NaN, and non-integral numbers for an int option are rejected, not rounded."""
+    """options[key] as the option's declared type (see _exact), inside
+    [low, high] (high None: no upper bound), or strictly inside (low, high)."""
     flag = "--" + key.replace("_", "-")
     value_type = OPTIONS[key][0]
-    raw = options.get(key)
     try:
-        v = value_type(raw)
-        if isinstance(raw, bool) or (isinstance(raw, float) and v != raw):
-            raise TypeError  # a boolean, a rounded or a NaN config value
+        v = _exact(value_type, options.get(key))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{flag} must be of type {value_type.__name__}") from None
     if open_interval and not low < v < high:
@@ -192,14 +197,13 @@ def _parse_direction(text) -> tuple[Fraction, Fraction]:
 
 
 def _parse_sizes(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        parts = list(text)
-    else:
-        parts = str(text).split(",")
+    """A comma-separated string or a config-file list of sizes; list entries
+    must be integral (see _exact), so no size is silently rounded."""
+    parts = list(text) if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        sizes = [int(s) for s in parts]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad size list {text!r}") from exc
+        sizes = [_exact(int, s) for s in parts]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"--sizes must list integers, got {text!r}") from exc
     if not sizes or any(s <= 0 for s in sizes) or sizes != sorted(sizes):
         raise ConfigError("sizes must be a nondecreasing list of positive integers")
     return sizes
@@ -312,23 +316,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
         40, 40, 0.35, range(seed, seed + 5)))
 
     # Sampled structural identities.
-    dual = VerificationReport("complement duality")
+    dual = VerificationReport("complement duality")  # s6v sweep vs step-data replay
     hid = VerificationReport("height complement identity")
     for i, (w, h) in enumerate(((17, 13), (64, 64))):
         es = sample_s6v(w, h, field, seed, replica=i)
         ec = sample_cs6v(w, h, field, seed, replica=i)
         dual.cases += 1
-        fc = complement(es)
-        if not (np.array_equal(fc.v_edges, ec.v_edges)
-                and np.array_equal(fc.h_edges, ec.h_edges)
-                and np.array_equal(fc.boundary_left, ec.boundary_left)
-                and np.array_equal(fc.boundary_bottom, ec.boundary_bottom)):
-            dual.fail(f"complement mismatch on {w}x{h}")
+        v, hE = _replay_s6v(field, [row_uniforms(seed, i, y, w) for y in range(1, h + 1)])
+        if not (np.array_equal(v, es.v_edges) and np.array_equal(hE, es.h_edges)):
+            dual.fail(f"s6v sweep differs from the vertex replay on {w}x{h}")
         hid.cases += 1
-        hh = height_h(es)
-        HH = height_H(ec)
-        ys = np.arange(h + 1)[None, :]
-        if not np.array_equal(HH, ys - hh):
+        if not np.array_equal(height_H(ec), np.arange(h + 1)[None, :] - height_h(es)):
             hid.fail(f"H != y - h on {w}x{h}")
     checks.append(dual)
     checks.append(hid)

@@ -94,16 +94,6 @@ def hammersley_height(ps: PointSet) -> np.ndarray:
     return H
 
 
-def _longest_chain(points: list[tuple[int, int]], x: int, y: int) -> int:
-    """Quadratic longest-chain oracle over the points dominated by (x, y)."""
-    pts = sorted(p for p in points if p[0] <= x and p[1] <= y)
-    best = []
-    for i, (a, b) in enumerate(pts):
-        best.append(1 + max((best[j] for j, (c, d) in enumerate(pts[:i])
-                             if c < a and d < b), default=0))
-    return max(best, default=0)
-
-
 # ---------------------------------------------------------------------------
 # Exact small-box distributions
 

@@ -11,7 +11,15 @@ models share one family of per-cell coins:
   probability 1 - b2.
 
 Flipping every horizontal occupancy maps one model onto the other, bit for
-bit, when both are driven by the same coins.  The colored variant runs the
+bit, when both are driven by the same coins, so both are sampled by one
+sweep of the complemented rule.  A row of that rule is a carry chain: a
+column generates an east line where an empty vertex nucleates, kills the
+incoming one where a south line meets it without crossing, and propagates
+it otherwise.  With the row's coins and south edges packed into integers
+(bit x-1 for column x), the carries of one addition, generate plus
+(generate or propagate), are the west inputs of every column at once.
+
+The colored variant runs the
 level-coupled multicolor rule blockwise: the quadrant is tiled by L-shaped
 shells of blocks, each shell's vertices use the rule with as many colors as
 the shell index, and nucleations emit the shell's own color, which has the
@@ -148,55 +156,32 @@ class PathEnsemble:
         return int(self.v_edges[x - 1, y - 1]), int(self.h_edges[x - 1, y - 1])
 
 
-def _scan_row(force0: np.ndarray, force1: np.ndarray, west0: bool) -> np.ndarray:
-    """East-edge occupancies of one row from its columnwise transfer maps.
-
-    Each column acts on the incoming horizontal occupancy as the identity,
-    the constant 0, or the constant 1; the row output is determined by the
-    last forcing column at or before each position.
-    """
-    idx = np.arange(force0.shape[0])
-    last = np.maximum.accumulate(np.where(force0 | force1, idx, -1))
-    return np.where(last >= 0, force1[np.maximum(last, 0)], west0)
-
-
-def _sweep_rows(width: int, height: int, field: ParameterField, seed: int,
-                replica: int, variant: str):
-    """Yield the boolean (north, east) occupancies of rows 1..height.
-
-    variant "s6v" runs the step-data rules, anything else the complemented
-    rules with empty boundary.  Only the current row and the field's J
-    distinct parameter rows are held, so the state is O(J * width).
-    """
-    step = variant == "s6v"
+def _coin_rows(width: int, height: int, field: ParameterField, seed: int,
+               replica: int):
+    """Yield the boolean (cross, nucleate) coins u1 < b1 and u2 >= b2 of rows
+    1..height; the field's J distinct parameter rows are computed once."""
     params = [field.rows(y, width) for y in range(1, min(field.J, height) + 1)]
-    south = np.zeros(width, dtype=bool)
-    west = np.full(width, step)  # west[0] is the boundary input, the rest is east shifted
     for y in range(1, height + 1):
         u1, u2 = rng.row_uniforms(seed, replica, y, width)
         b1r, b2r = params[(y - 1) % field.J]
-        X, N = u1 < b1r, u2 >= b2r
-        if step:  # the south line continues north iff X, the west line east iff not N
-            east = _scan_row(~south & N, south & ~X, True)
-        else:     # meeting lines cross iff X, an empty vertex nucleates iff N
-            east = _scan_row(south & ~X, ~south & N, False)
-        west[1:] = east[:-1]
-        north = np.where(south, west | X, west & N) if step else \
-            np.where(south, ~west | X, ~west & N)
-        yield north, east
-        south = north
+        yield u1 < b1r, u2 >= b2r
 
 
-def _stored_sweep(variant: str, width: int, height: int, field: ParameterField,
-                  seed: int, replica: int) -> PathEnsemble:
-    """The single-color ensemble of one sweep, stored column by column."""
-    v = np.zeros((width, height), dtype=np.uint8)
-    hE = np.zeros_like(v)
-    for y, (north, east) in enumerate(_sweep_rows(width, height, field, seed, replica, variant)):
-        v[:, y] = north
-        hE[:, y] = east
-    left = np.full(height, variant == "s6v", dtype=np.uint8)
-    return PathEnsemble(variant, 1, width, height, v, hE, left, np.zeros(width, dtype=np.uint8))
+def _carry_rows(width: int, coins):
+    """Yield the (north, east) words of the complemented rule with empty
+    boundary (bit x-1 is column x), one row per pair of boolean (cross,
+    nucleate) coin arrays; see the module docstring for the carry scan."""
+    mask = (1 << width) - 1
+    s = 0
+    for cross, nucleate in coins:
+        cross, nucleate = (int.from_bytes(np.packbits(c, bitorder="little").tobytes(), "little")
+                           for c in (cross, nucleate))
+        g = ~s & nucleate  # generate: an empty vertex nucleates
+        a = ~(s & ~cross) & mask  # generate or propagate: all but kill
+        carries = (a + g) ^ a ^ g  # bit x-1: the line entering column x
+        w = carries & mask
+        s = (s & (~w | cross)) | (~s & ~w & nucleate)
+        yield s, carries >> 1
 
 
 def sample_s6v(width: int, height: int, field: ParameterField, seed: int,
@@ -205,9 +190,10 @@ def sample_s6v(width: int, height: int, field: ParameterField, seed: int,
 
     One line enters each row from the left; none enter from below.  Row y,
     column x consumes the cell uniforms (u1, u2): the south line continues
-    north iff u1 < b1, the west line continues east iff u2 < b2.
+    north iff u1 < b1, the west line continues east iff u2 < b2.  The sample
+    is the horizontal complement of sample_cs6v's with the same coins.
     """
-    return _stored_sweep("s6v", width, height, field, seed, replica)
+    return complement(sample_cs6v(width, height, field, seed, replica))
 
 
 def sample_cs6v(width: int, height: int, field: ParameterField, seed: int,
@@ -215,10 +201,17 @@ def sample_cs6v(width: int, height: int, field: ParameterField, seed: int,
     """Sample the complemented model with empty boundary on a width x height box.
 
     Same cell coins as sample_s6v: two meeting lines cross iff u1 < b1, an
-    empty vertex nucleates a corner iff u2 >= b2.  Complementing the s6v
-    sample's horizontal edges reproduces this sample exactly.
+    empty vertex nucleates a corner iff u2 >= b2.  The carry sweep's packed
+    rows fill a row-major buffer that is unpacked and transposed once.
     """
-    return _stored_sweep("cs6v", width, height, field, seed, replica)
+    nbytes = (width + 7) // 8
+    rows = bytearray()
+    for north, east in _carry_rows(width, _coin_rows(width, height, field, seed, replica)):
+        rows += north.to_bytes(nbytes, "little") + east.to_bytes(nbytes, "little")
+    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(height, 2, nbytes),
+                         axis=2, count=width, bitorder="little")
+    return PathEnsemble("cs6v", 1, width, height, bits[:, 0].T.copy(), bits[:, 1].T.copy(),
+                        np.zeros(height, dtype=np.uint8), np.zeros(width, dtype=np.uint8))
 
 
 def complement(e: PathEnsemble) -> PathEnsemble:
@@ -237,6 +230,25 @@ def complement(e: PathEnsemble) -> PathEnsemble:
         (1 - e.boundary_left).astype(e.boundary_left.dtype),
         e.boundary_bottom.copy(),
     )
+
+
+def _replay_s6v(field: ParameterField, coins) -> tuple[np.ndarray, np.ndarray]:
+    """(v_edges, h_edges) of the step-data model replayed vertex by vertex from
+    each row's coins (u1, u2), independently of the carry sweep: a lone south
+    line continues north iff u1 < b1, a lone west line east iff u2 < b2."""
+    height, width = len(coins), len(coins[0][0])
+    v, hE = np.zeros((2, width, height), dtype=np.uint8)
+    south = [0] * width
+    for y, (u1, u2) in enumerate(coins, start=1):
+        west, east = 1, []
+        for x, c1, c2 in zip(range(1, width + 1), u1.tolist(), u2.tolist()):
+            b1, b2 = field.at(x, y)
+            s = south[x - 1]
+            north = s if s == west else int(c1 < b1 if s else c2 >= b2)
+            south[x - 1], west = north, s + west - north
+            east.append(west)
+        v[:, y - 1], hE[:, y - 1] = south, east
+    return v, hE
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +398,10 @@ def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
     dtype = _mask_dtype(n)
     v = np.zeros((width, height), dtype=dtype)
     hE = np.zeros((width, height), dtype=dtype)
-    params = [field.rows(y, width) for y in range(1, min(field.J, height) + 1)]
-    for y in range(1, height + 1):
-        u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = params[(y - 1) % field.J]
-        cross = np.where(u1 < b1r, full, 0).tolist()
-        nucleate = np.where(u2 >= b2r, nucleation_levels(y), 0).tolist()
+    coins = _coin_rows(width, height, field, seed, replica)
+    for y, (cross, nucleate) in enumerate(coins, start=1):
+        cross = np.where(cross, full, 0).tolist()
+        nucleate = np.where(nucleate, nucleation_levels(y), 0).tolist()
         w = west[y - 1]
         north, east = [], []
         for s, c, nu in zip(south, cross, nucleate):

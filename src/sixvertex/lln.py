@@ -22,12 +22,13 @@ import numpy as np
 from scipy import stats
 
 from . import pool
-from .degenerations import _chain_rows, _point_rows
+from .degenerations import _point_rows
 from .lattice import (
     ColoringScheme,
     ParameterField,
     PathEnsemble,
-    _sweep_rows,
+    _carry_rows,
+    _coin_rows,
     height_H,
     make_coloring,
     mod2_project,
@@ -263,27 +264,30 @@ def _floor_point(x: Fraction, y: Fraction, n: int) -> tuple[int, int]:
 
 
 def _ratio_task(args):
-    """One replica's ratios for ascending sizes, read off while a single
-    sweep advances to each floor point's row; no (w, h) array is built."""
+    """One replica's ratios for ascending sizes, read off while a single carry
+    sweep advances to each floor point (px, py): the popcount of row py's
+    north word below bit px is H for cs6v and, by the shared-coin coupling,
+    for hammersley (cross = 0), and py - h for s6v."""
     model, b1, b2, xs, ys, sizes, seed, replica = args
     field = ParameterField(np.asarray(b1), np.asarray(b2))
     x, y = Fraction(xs), Fraction(ys)
     wmax, hmax = _floor_point(x, y, max(sizes))
-    if model == "hammersley":
-        rows = _chain_rows(wmax, _point_rows(wmax, hmax, 1.0 - field.b2[0, 0], seed, replica))
+    if model == "hammersley":  # the point set's own coin u2 >= 1 - p, bit for bit
+        no_cross = np.zeros(wmax, dtype=bool)
+        coins = ((no_cross, points) for points in
+                 _point_rows(wmax, hmax, 1.0 - field.b2[0, 0], seed, replica))
     else:
-        rows = (north for north, _ in _sweep_rows(wmax, hmax, field, seed, replica, model))
+        coins = _coin_rows(wmax, hmax, field, seed, replica)
+    rows = _carry_rows(wmax, coins)
+    step = model == "s6v"
     out, at = [], 0
     for n in sizes:
         px, py = _floor_point(x, y, n)
         for _ in range(py - at):
-            row = next(rows)
+            north, _ = next(rows)
         at = py
-        if model == "hammersley":
-            out.append(float(row[px]) / n)
-        else:
-            crossings = int(np.count_nonzero(row[:px]))
-            out.append(((py - crossings) if model == "s6v" else crossings) / n)
+        count = (north & ((1 << px) - 1)).bit_count()
+        out.append((py - count if step else count) / n)
     return out
 
 
@@ -295,11 +299,12 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
     Each replica sweeps one box at the largest size and reads every smaller
     size from the same realization, so per-replica gaps measure actual
     Cauchy behavior along a growing sample.  The heights are read as the
-    sweep passes each floor row, so a replica holds O(width) memory (plus
-    the field's J parameter rows), not the box.  Every floor point must
-    have both coordinates >= 1.  With homogeneous parameters the
-    closed-form limit is attached as reference.  model="hammersley" samples
-    Bernoulli(p) points and needs the 1x1 field b1 = 0, b2 = 1 - p in (0, 1).
+    packed-bit carry sweep passes each floor row, one popcount per size, so
+    a replica holds O(width) memory (plus the field's J parameter rows), not
+    the box.  Every floor point must have both coordinates >= 1.  With
+    homogeneous parameters the closed-form limit is attached as reference.
+    model="hammersley" samples Bernoulli(p) points and needs the 1x1 field
+    b1 = 0, b2 = 1 - p in (0, 1).
     """
     x, y = Fraction(direction[0]), Fraction(direction[1])
     if x <= 0 or y <= 0:

@@ -8,8 +8,6 @@ drawn as half-length stubs.  Output is deterministic byte for byte.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 import numpy as np
 
 from .lattice import PathEnsemble
@@ -24,9 +22,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _group(attrs: str, children: list[str]) -> str:
+    """A <g> element as ElementTree writes it: self-closed when empty."""
+    return f"<g {attrs}>{''.join(children)}</g>" if children else f"<g {attrs} />"
+
+
 def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
                  offset: float = 2.5, comment: str | None = None) -> str:
-    """Render an ensemble to an SVG string."""
+    """Render an ensemble to an SVG string, assembled in ElementTree's
+    serialization form; every attribute value is a number or a fixed string,
+    so nothing needs escaping."""
     w_px = 2 * margin + (e.width + 1) * cell
     h_px = 2 * margin + (e.height + 1) * cell
 
@@ -36,36 +41,24 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
     def Y(y: float) -> float:
         return h_px - margin - y * cell
 
-    svg = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(w_px), "height": str(h_px),
-        "viewBox": f"0 0 {w_px} {h_px}",
-    })
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" height="{h_px}" '
+           f'viewBox="0 0 {w_px} {h_px}">']
     if comment is not None:
-        svg.append(ET.Comment(comment.replace("--", "- -")))
-    ET.SubElement(svg, "rect", {
-        "x": "0", "y": "0", "width": str(w_px), "height": str(h_px),
-        "fill": "white",
-    })
+        out.append(f"<!--{comment.replace('--', '- -')}-->")
+    out.append(f'<rect x="0" y="0" width="{w_px}" height="{h_px}" fill="white" />')
     # vertex dots
-    dots = ET.SubElement(svg, "g", {"fill": "#cccccc"})
     cys = [_fmt(Y(y)) for y in range(1, e.height + 1)]
-    for x in range(1, e.width + 1):
-        cx = _fmt(X(x))
-        for cy in cys:
-            ET.SubElement(dots, "circle", {"cx": cx, "cy": cy, "r": "1.5"})
+    cxs = [_fmt(X(x)) for x in range(1, e.width + 1)]
+    out.append(_group('fill="#cccccc"', [f'<circle cx="{cx}" cy="{cy}" r="1.5" />'
+                                         for cx in cxs for cy in cys]))
     for c in range(1, e.n_colors + 1):
         color = PALETTE[(c - 1) % len(PALETTE)]
         d = (c - (e.n_colors + 1) / 2.0) * offset
-        g = ET.SubElement(svg, "g", {
-            "stroke": color, "stroke-width": "2", "stroke-linecap": "round",
-        })
+        lines = []
 
         def seg(x0, y0, x1, y1):
-            ET.SubElement(g, "line", {
-                "x1": _fmt(X(x0)), "y1": _fmt(Y(y0)),
-                "x2": _fmt(X(x1)), "y2": _fmt(Y(y1)),
-            })
+            lines.append(f'<line x1="{_fmt(X(x0))}" y1="{_fmt(Y(y0))}" '
+                         f'x2="{_fmt(X(x1))}" y2="{_fmt(Y(y1))}" />')
 
         bit = c - 1
         dx = d / cell  # offsets in lattice units
@@ -84,7 +77,9 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
             seg(0.5, y + dx, 1, y + dx)
         for x in (np.flatnonzero((e.boundary_bottom >> bit) & 1) + 1).tolist():
             seg(x + dx, 0.5, x + dx, 1)
-    return ET.tostring(svg, encoding="unicode")
+        out.append(_group(f'stroke="{color}" stroke-width="2" stroke-linecap="round"', lines))
+    out.append("</svg>")
+    return "".join(out)
 
 
 def write_svg(e: PathEnsemble, path, **kwargs) -> None:

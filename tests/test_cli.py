@@ -208,6 +208,22 @@ def test_verify_quick_battery(tmp_path, capsys):
         "boundary monotonicity"}
 
 
+def test_complement_duality_check_sees_a_mutated_replay_coin(monkeypatch, capsys):
+    real = cli.row_uniforms
+
+    def mutated(seed, replica, row, width):
+        u1, u2 = real(seed, replica, row, width)
+        if row == 1:  # vertex (1, 1): flip whether the boundary line turns north
+            u2[0] = 0.0 if u2[0] >= 0.7 else 0.999
+        return u1, u2
+
+    monkeypatch.setattr(cli, "row_uniforms", mutated)
+    rc = main(["verify", "--seed", "1", "--n", "1", "--trials", "5", "--replicas", "10",
+               "--max-size", "6", "--b1", "0.3", "--b2", "0.7"])
+    assert rc == 1
+    assert "complement duality: FAIL (2/2 checks" in capsys.readouterr().out
+
+
 def test_converge_outputs_embed_config(tmp_path):
     csv_path = tmp_path / "r.csv"
     json_path = tmp_path / "r.json"
@@ -300,6 +316,7 @@ def test_hammersley_subcommand(tmp_path, capsys):
     ("verify", {"n": 2.7}), ("verify", {"n": True}), ("verify", {"trials": True}),
     ("verify", {"max_size": 1e999}), ("verify", {"b1": True}),
     ("hammersley", {"sizes": "20", "tol": "abc"}),
+    ("converge", {"sizes": [2.7, 30]}), ("converge", {"sizes": [True, 30]}),
 ])
 def test_config_numbers_are_not_rounded(command, config, tmp_path, capsys):
     cfg = tmp_path / "conf.json"
@@ -315,6 +332,15 @@ def test_integral_float_config_integer_is_accepted(tmp_path):
     out = tmp_path / "e.bin"
     assert main(["sample", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
     assert read_ensemble(out)[0].width == 3
+
+
+def test_integral_float_config_sizes_are_accepted(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text('{"sizes": [20.0, 30]}')
+    out = tmp_path / "r.json"
+    assert main(["converge", "--seed", "1", "--replicas", "2", "--config", str(cfg),
+                 "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["sizes"] == [20, 30]
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -10,6 +10,9 @@ from sixvertex.lattice import (
     ColoringScheme,
     ParameterField,
     PathEnsemble,
+    _carry_rows,
+    _coin_rows,
+    _replay_s6v,
     admissibility_violations,
     complement,
     height_H,
@@ -25,7 +28,9 @@ from sixvertex.lattice import (
     verify_monotonicity,
 )
 from sixvertex.lmatrix import MAX_COLORS, vertex_outcome
-from sixvertex.rng import cell_uniforms
+from sixvertex.rng import cell_uniforms, row_uniforms
+from sixvertex.serialize import ensemble_to_bytes
+from sweep_oracle import sweep_rows
 
 HOMOG = make_field(0.3, 0.7)
 INHOMOG = make_field([[0.1, 0.4], [0.3, 0.2], [0.25, 0.35]],
@@ -121,6 +126,68 @@ def test_complement_duality_is_pathwise(field, seed):
     assert np.array_equal(f.h_edges, ec.h_edges)
     assert np.array_equal(f.boundary_left, ec.boundary_left)
     assert np.array_equal(f.boundary_bottom, ec.boundary_bottom)
+
+
+KERNEL_FIELDS = {
+    "homogeneous": HOMOG,
+    "2x3": make_field([[0.2, 0.6, 0.9], [0.5, 0.1, 0.4]],
+                      [[0.7, 0.3, 0.5], [0.8, 0.2, 0.6]]),
+    # every (b1, b2) in {0, 1}^2, alone and mixed with interior entries
+    "degenerate": make_field([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                             [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+    "mixed": make_field([[0.0, 1.0, 0.4], [1.0, 0.0, 1.0]],
+                        [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0]]),
+}
+
+
+def _bits(word: int, width: int) -> np.ndarray:
+    return np.array([(word >> i) & 1 for i in range(width)], dtype=bool)
+
+
+# widths on both sides of the packed bytes' and 64-bit words' boundaries
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 200])
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS))
+@pytest.mark.parametrize("seed", [1, 3])
+def test_carry_kernel_matches_numpy_oracle(width, field, seed):
+    f, height, mask = KERNEL_FIELDS[field], 23, (1 << width) - 1
+    for variant, flip in (("cs6v", 0), ("s6v", mask)):
+        rows = _carry_rows(width, _coin_rows(width, height, f, seed, 2))
+        oracle = sweep_rows(width, height, f, seed, 2, variant)
+        for y, ((north, east), (o_north, o_east)) in enumerate(zip(rows, oracle), start=1):
+            assert np.array_equal(_bits(north, width), o_north), (variant, y)
+            assert np.array_equal(_bits(east ^ flip, width), o_east), (variant, y)
+        assert y == height
+
+
+# SHA-256 of ensemble_to_bytes pinned from the columnwise numpy sweep, before
+# rows were packed into a row-major buffer and transposed once.
+SAMPLE_PINS = {
+    "s6v": "7fd348b7fc171dd7aa7ee30eb9d8fdbe7ccd91808ac88ec30608a6376faa039d",
+    "cs6v": "4048b80c2f5cba76d58ad1dd8e25eda47294bde147be63eb258cab9b8e9718de",
+}
+
+
+@pytest.mark.parametrize("maker", [sample_s6v, sample_cs6v])
+def test_single_color_sample_bytes_are_pinned(maker):
+    import hashlib
+    e = maker(65, 33, KERNEL_FIELDS["2x3"], 5, replica=2)
+    assert e.v_edges.flags.c_contiguous and e.h_edges.flags.c_contiguous
+    digest = hashlib.sha256(ensemble_to_bytes(e)).hexdigest()
+    assert digest == SAMPLE_PINS[e.variant]
+
+
+def test_step_replay_matches_the_sweep_and_sees_a_mutated_coin():
+    f, w, h = KERNEL_FIELDS["2x3"], 17, 13
+    e = sample_s6v(w, h, f, 4, replica=1)
+    coins = [row_uniforms(4, 1, y, w) for y in range(1, h + 1)]
+    v, hE = _replay_s6v(f, coins)
+    assert np.array_equal(v, e.v_edges) and np.array_equal(hE, e.h_edges)
+    # vertex (1, 1) sees only the boundary line from the west, so its u2
+    # alone decides whether that line turns north
+    u1, u2 = coins[0][0].copy(), coins[0][1].copy()
+    u2[0] = 0.0 if u2[0] >= f.at(1, 1)[1] else 0.999
+    v_bad, hE_bad = _replay_s6v(f, [(u1, u2)] + coins[1:])
+    assert v_bad[0, 0] != e.v_edges[0, 0] and hE_bad[0, 0] != e.h_edges[0, 0]
 
 
 def test_complement_is_an_involution():

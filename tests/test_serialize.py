@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sixvertex.degenerations import sample_pointset
+from sixvertex.degenerations import PointSet, sample_pointset
 from sixvertex.lattice import (
     make_coloring,
     make_field,
@@ -139,6 +139,17 @@ def test_pointset_round_trip(tmp_path):
     assert np.array_equal(ps.grid, back.grid)
 
 
+@pytest.mark.parametrize("fill", [False, True])
+def test_pointset_round_trip_empty_and_full(fill, tmp_path):
+    ps = PointSet(5, 3, np.full((5, 3), fill))
+    path = tmp_path / "pts.txt"
+    write_pointset(ps, path)
+    assert path.read_text() == "".join(f"{x} {y}\n" for x in range(1, 6) for y in range(1, 4)
+                                       if fill)
+    back = read_pointset(path, width=5, height=3)
+    assert back.grid.shape == (5, 3) and np.array_equal(back.grid, ps.grid)
+
+
 def test_pointset_text_format(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("# comment line\n2 3\n\n1 1\n4 2\n")
@@ -169,6 +180,15 @@ def test_svg_draws_every_color_group():
     e = sample_colored_cs6v(4, make_coloring(1, 1, FIELD), FIELD, 2)
     svg = ensemble_svg(e)
     assert svg.count("<g ") >= int((e.v_edges | e.h_edges).max()).bit_length()
+
+
+def test_svg_of_an_empty_ensemble_keeps_elementtree_form():
+    e = sample_cs6v(1, 1, make_field(0.5, 1.0), 1)  # b2 = 1: nothing nucleates
+    assert ensemble_svg(e, comment="a--b") == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="80" height="80" '
+        'viewBox="0 0 80 80"><!--a- -b--><rect x="0" y="0" width="80" height="80" '
+        'fill="white" /><g fill="#cccccc"><circle cx="40" cy="40" r="1.5" /></g>'
+        '<g stroke="#1f77b4" stroke-width="2" stroke-linecap="round" /></svg>')
 
 
 # SHA-256 of renderings pinned before the edge scan was vectorized; the
