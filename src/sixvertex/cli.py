@@ -51,7 +51,6 @@ from .lattice import (
     _replay_s6v,
     admissibility_violations,
     height_H,
-    height_h,
     make_coloring,
     make_field,
     sample_colored_cs6v,
@@ -326,7 +325,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
         if not (np.array_equal(v, es.v_edges) and np.array_equal(hE, es.h_edges)):
             dual.fail(f"s6v sweep differs from the vertex replay on {w}x{h}")
         hid.cases += 1
-        if not np.array_equal(height_H(ec), np.arange(h + 1)[None, :] - height_h(es)):
+        # h off the s6v east plane: h[x, y] lines leave [1, x] x [1, y] eastward
+        h_east = np.pad(np.cumsum(es.h_edges, axis=1), ((1, 0), (1, 0)))
+        h_east[0] = np.arange(h + 1)
+        if not np.array_equal(height_H(ec), np.arange(h + 1)[None, :] - h_east):
             hid.fail(f"H != y - h on {w}x{h}")
     checks.append(dual)
     checks.append(hid)

@@ -19,19 +19,20 @@ it otherwise.  With the row's coins and south edges packed into integers
 (bit x-1 for column x), the carries of one addition, generate plus
 (generate or propagate), are the west inputs of every column at once.
 
-The colored variant runs the
-level-coupled multicolor rule blockwise: the quadrant is tiled by L-shaped
-shells of blocks, each shell's vertices use the rule with as many colors as
-the shell index, and nucleations emit the shell's own color, which has the
-lowest priority among those already present.
+The colored variant runs the level-coupled multicolor rule blockwise: the
+quadrant is tiled by L-shaped shells of blocks, each shell's vertices use the
+rule with as many colors as the shell index, and nucleations emit the shell's
+own color, which has the lowest priority among those already present.
 
 The multicolor samplers never tabulate the n-color rule.  They sweep
 level-parity words, whose bit L-1 is the parity of the first L colors: every
-level follows the single-color complemented rule driven by the shared cross
-and nucleation coins, and a shell-k vertex may nucleate only at levels
-L >= n - k + 1.  Color masks are recovered once per ensemble by differencing
-consecutive levels, so any color count up to MAX_COLORS is sampled in time
-linear in the box and independent of the color count.
+level is the single-color complemented model, run as one carry sweep of the
+shared cross and nucleation coins with its own nucleation window.  A shell-k
+vertex may nucleate only at levels L >= n - k + 1, so level L nucleates only
+at x > (n-L)*bx and y > (n-L)*by; boundary lines enter each level as its
+south word and its carries into column 1.  Color masks are recovered once
+per ensemble by differencing consecutive levels, so any color count up to
+MAX_COLORS is sampled level by level at the cost of single-color sweeps.
 
 Parameters are biperiodic: vertex (x, y) reads entry ((x-1) mod I,
 (y-1) mod J) of two I x J matrices.
@@ -156,29 +157,34 @@ class PathEnsemble:
         return int(self.v_edges[x - 1, y - 1]), int(self.h_edges[x - 1, y - 1])
 
 
+def _packed(bits: np.ndarray) -> int:
+    """The int whose bit x-1 is set iff bits[x-1] is nonzero."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _coin_rows(width: int, height: int, field: ParameterField, seed: int,
                replica: int):
-    """Yield the boolean (cross, nucleate) coins u1 < b1 and u2 >= b2 of rows
+    """Yield the packed (cross, nucleate) coin words u1 < b1, u2 >= b2 of rows
     1..height; the field's J distinct parameter rows are computed once."""
     params = [field.rows(y, width) for y in range(1, min(field.J, height) + 1)]
     for y in range(1, height + 1):
         u1, u2 = rng.row_uniforms(seed, replica, y, width)
         b1r, b2r = params[(y - 1) % field.J]
-        yield u1 < b1r, u2 >= b2r
+        yield _packed(u1 < b1r), _packed(u2 >= b2r)
 
 
-def _carry_rows(width: int, coins):
-    """Yield the (north, east) words of the complemented rule with empty
-    boundary (bit x-1 is column x), one row per pair of boolean (cross,
-    nucleate) coin arrays; see the module docstring for the carry scan."""
+def _carry_rows(width: int, coins, south: int = 0, west: int = 0):
+    """Yield the (north, east) words of the complemented rule, one row per
+    packed (cross, nucleate) coin pair; see the module docstring for the
+    carry scan.  south is the word entering row 1 from below, and bit y-1 of
+    west the boundary line entering row y, added as the carry into column 1."""
     mask = (1 << width) - 1
-    s = 0
+    s = south
     for cross, nucleate in coins:
-        cross, nucleate = (int.from_bytes(np.packbits(c, bitorder="little").tobytes(), "little")
-                           for c in (cross, nucleate))
         g = ~s & nucleate  # generate: an empty vertex nucleates
         a = ~(s & ~cross) & mask  # generate or propagate: all but kill
-        carries = (a + g) ^ a ^ g  # bit x-1: the line entering column x
+        carries = (a + g + (west & 1)) ^ a ^ g  # bit x-1: the line entering column x
+        west >>= 1
         w = carries & mask
         s = (s & (~w | cross)) | (~s & ~w & nucleate)
         yield s, carries >> 1
@@ -201,17 +207,11 @@ def sample_cs6v(width: int, height: int, field: ParameterField, seed: int,
     """Sample the complemented model with empty boundary on a width x height box.
 
     Same cell coins as sample_s6v: two meeting lines cross iff u1 < b1, an
-    empty vertex nucleates a corner iff u2 >= b2.  The carry sweep's packed
-    rows fill a row-major buffer that is unpacked and transposed once.
+    empty vertex nucleates a corner iff u2 >= b2.  This is the one-level case
+    of the multicolor sweep.
     """
-    nbytes = (width + 7) // 8
-    rows = bytearray()
-    for north, east in _carry_rows(width, _coin_rows(width, height, field, seed, replica)):
-        rows += north.to_bytes(nbytes, "little") + east.to_bytes(nbytes, "little")
-    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(height, 2, nbytes),
-                         axis=2, count=width, bitorder="little")
-    return PathEnsemble("cs6v", 1, width, height, bits[:, 0].T.copy(), bits[:, 1].T.copy(),
-                        np.zeros(height, dtype=np.uint8), np.zeros(width, dtype=np.uint8))
+    return _sweep_levels(width, height, 1, field, seed, replica,
+                         np.zeros(height, dtype=np.uint8), np.zeros(width, dtype=np.uint8))
 
 
 def complement(e: PathEnsemble) -> PathEnsemble:
@@ -377,43 +377,53 @@ def _levels_from_colors(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def _colors_from_levels(levels: np.ndarray, n: int) -> np.ndarray:
-    """Color masks of level-parity words: color c flips levels c-1 and c apart."""
-    return (levels ^ (levels << 1)) & ((1 << n) - 1)
+    """Color masks of level-parity words, in place: color c flips levels c-1 and c apart."""
+    levels ^= levels << 1
+    levels &= (1 << n) - 1
+    return levels
+
+
+def _row_bits(width: int, height: int, rows) -> np.ndarray:
+    """Bits (height, 2, width) of packed (north, east) rows: one buffer, unpacked once."""
+    nbytes = (width + 7) // 8
+    buf = bytearray()
+    for north, east in rows:
+        buf += north.to_bytes(nbytes, "little") + east.to_bytes(nbytes, "little")
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(height, 2, nbytes),
+                         axis=2, count=width, bitorder="little")
 
 
 def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
-                  seed: int, replica: int, south: list, west: list,
-                  nucleation_levels) -> tuple[np.ndarray, np.ndarray]:
-    """Run the two-coin rule over a box on n-level parity words.
+                  seed: int, replica: int, left: np.ndarray, bottom: np.ndarray,
+                  block: tuple[int, int] = (0, 0)) -> PathEnsemble:
+    """Sample the n-color complemented model on a width x height box entered
+    by the boundary color masks left[y-1] (row y) and bottom[x-1] (column x),
+    which the ensemble keeps.
 
-    south holds the level words entering each column from below, west[y-1]
-    the word entering row y from the left, and nucleation_levels(y) the
-    levels each column of row y may nucleate at (an int or an array).  With
-    south word s and west word w at a vertex, a level with one input passes
-    it on, two inputs both continue iff the cross coin fires, and an empty
-    allowed level emits both outputs iff the nucleation coin fires.  Returns
-    the (north, east) edge arrays as color masks.
+    Level L is one carry sweep of the shared coins, entered by bit L-1 of the
+    boundary level words; it nucleates only at x > (n-L)*bx and y > (n-L)*by
+    for block = (bx, by), everywhere for the default (0, 0).  Levels are added
+    into the mask dtype one at a time, then differenced into color masks (at
+    n = 1 the level is the mask) and transposed once.
     """
-    full = (1 << n) - 1
-    dtype = _mask_dtype(n)
-    v = np.zeros((width, height), dtype=dtype)
-    hE = np.zeros((width, height), dtype=dtype)
-    coins = _coin_rows(width, height, field, seed, replica)
-    for y, (cross, nucleate) in enumerate(coins, start=1):
-        cross = np.where(cross, full, 0).tolist()
-        nucleate = np.where(nucleate, nucleation_levels(y), 0).tolist()
-        w = west[y - 1]
-        north, east = [], []
-        for s, c, nu in zip(south, cross, nucleate):
-            d = s ^ w
-            shared = (s & w & c) | (nu & ~(s | w))
-            north.append((s & d) | shared)
-            w = (w & d) | shared
-            east.append(w)
-        v[:, y - 1] = north
-        hE[:, y - 1] = east
-        south = north
-    return _colors_from_levels(v, n), _colors_from_levels(hE, n)
+    coins = list(_coin_rows(width, height, field, seed, replica))
+    entries = _levels_from_colors(np.concatenate((bottom, left)), n)  # south, then west
+    dtype, mask = _mask_dtype(n), (1 << width) - 1
+    for L in range(1, n + 1):
+        x0, y0 = (n - L) * block[0], (n - L) * block[1]
+        window = mask >> x0 << x0
+        level_coins = ((cross, nucleate & window if y > y0 else 0)
+                       for y, (cross, nucleate) in enumerate(coins, start=1))
+        entry = _packed((entries >> (L - 1)) & 1)
+        bits = _row_bits(width, height, _carry_rows(width, level_coins, entry & mask, entry >> width))
+        if L == 1:
+            words = bits.astype(dtype, copy=False)
+        else:
+            words |= np.left_shift(bits, L - 1, dtype=dtype)
+    if n > 1:
+        words = _colors_from_levels(words, n)
+    return PathEnsemble("cs6v", n, width, height, words[:, 0].T.copy(),
+                        words[:, 1].T.copy(), left, bottom)
 
 
 def sample_colored_cs6v(n_blocks: int, scheme: ColoringScheme, field: ParameterField,
@@ -429,19 +439,9 @@ def sample_colored_cs6v(n_blocks: int, scheme: ColoringScheme, field: ParameterF
     if not 1 <= n_blocks <= MAX_COLORS:
         raise ValueError(f"n_blocks must be in 1..{MAX_COLORS}")
     width, height = scheme.bx * n_blocks, scheme.by * n_blocks
-    full = (1 << n_blocks) - 1
-
-    def allowed(k):
-        # a shell-k vertex nucleates only at levels n_blocks-k+1..n_blocks
-        return full ^ ((1 << (n_blocks - k)) - 1)
-
-    xblocks = -(-np.arange(1, width + 1) // scheme.bx)
-    xallowed = allowed(xblocks)
-    v, hE = _sweep_levels(width, height, n_blocks, field, seed, replica,
-                          [0] * width, [0] * height,
-                          lambda y: xallowed & allowed(-(-y // scheme.by)))
-    return PathEnsemble("cs6v", n_blocks, width, height, v, hE,
-                        np.zeros(height, dtype=v.dtype), np.zeros(width, dtype=v.dtype))
+    dtype = _mask_dtype(n_blocks)
+    return _sweep_levels(width, height, n_blocks, field, seed, replica, np.zeros(height, dtype),
+                         np.zeros(width, dtype), (scheme.bx, scheme.by))
 
 
 def sample_two_colored_with_boundary(width: int, height: int, field: ParameterField,
@@ -459,11 +459,7 @@ def sample_two_colored_with_boundary(width: int, height: int, field: ParameterFi
     for arr in (left, bottom):
         if (arr & 0b01).any() or (arr & ~np.uint8(0b11)).any():
             raise ValueError("boundary lines may only carry color 2")
-    v, hE = _sweep_levels(width, height, 2, field, seed, replica,
-                          _levels_from_colors(bottom, 2).tolist(),
-                          _levels_from_colors(left, 2).tolist(),
-                          lambda y: 0b11)
-    return PathEnsemble("cs6v", 2, width, height, v, hE, left.copy(), bottom.copy())
+    return _sweep_levels(width, height, 2, field, seed, replica, left.copy(), bottom.copy())
 
 
 # ---------------------------------------------------------------------------

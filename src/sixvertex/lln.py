@@ -29,6 +29,7 @@ from .lattice import (
     PathEnsemble,
     _carry_rows,
     _coin_rows,
+    _packed,
     height_H,
     make_coloring,
     mod2_project,
@@ -273,8 +274,7 @@ def _ratio_task(args):
     x, y = Fraction(xs), Fraction(ys)
     wmax, hmax = _floor_point(x, y, max(sizes))
     if model == "hammersley":  # the point set's own coin u2 >= 1 - p, bit for bit
-        no_cross = np.zeros(wmax, dtype=bool)
-        coins = ((no_cross, points) for points in
+        coins = ((0, _packed(points)) for points in
                  _point_rows(wmax, hmax, 1.0 - field.b2[0, 0], seed, replica))
     else:
         coins = _coin_rows(wmax, hmax, field, seed, replica)

@@ -224,6 +224,21 @@ def test_complement_duality_check_sees_a_mutated_replay_coin(monkeypatch, capsys
     assert "complement duality: FAIL (2/2 checks" in capsys.readouterr().out
 
 
+def test_height_identity_check_sees_a_flipped_east_edge(monkeypatch, capsys):
+    real = cli.sample_s6v
+
+    def flipped(*args, **kwargs):
+        e = real(*args, **kwargs)
+        e.h_edges[3, 2] ^= 1
+        return e
+
+    monkeypatch.setattr(cli, "sample_s6v", flipped)
+    rc = main(["verify", "--seed", "1", "--n", "1", "--trials", "5", "--replicas", "10",
+               "--max-size", "6", "--b1", "0.3", "--b2", "0.7"])
+    assert rc == 1
+    assert "height complement identity: FAIL" in capsys.readouterr().out
+
+
 def test_converge_outputs_embed_config(tmp_path):
     csv_path = tmp_path / "r.csv"
     json_path = tmp_path / "r.json"

@@ -369,12 +369,19 @@ def _replay_colored(n, scheme, field, seed):
     return v, hE
 
 
-@pytest.mark.parametrize("direction", [(1, 1), (2, 1), (Fraction(1, 2), 3)])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
-def test_colored_sampler_matches_scalar_replay(n, direction):
-    scheme = make_coloring(*direction, FIELD_2X3)
-    e = sample_colored_cs6v(n, scheme, FIELD_2X3, 5)
-    v, hE = _replay_colored(n, scheme, FIELD_2X3, 5)
+# every n on the 2x3 field, plus the color limit on a 1x1 field (a 32x32
+# box), which reaches uint32 masks and levels past bits 7, 15 and 31
+REPLAY_CASES = [pytest.param(n, direction, FIELD_2X3, id=f"{n}-direction{i}")
+                for n in (1, 2, 3, 5, 9, 11)
+                for i, direction in enumerate([(1, 1), (2, 1), (Fraction(1, 2), 3)])]
+REPLAY_CASES.append(pytest.param(MAX_COLORS, (1, 1), HOMOG, id=f"{MAX_COLORS}-homogeneous"))
+
+
+@pytest.mark.parametrize("n, direction, field", REPLAY_CASES)
+def test_colored_sampler_matches_scalar_replay(n, direction, field):
+    scheme = make_coloring(*direction, field)
+    e = sample_colored_cs6v(n, scheme, field, 5)
+    v, hE = _replay_colored(n, scheme, field, 5)
     assert np.array_equal(e.v_edges, v)
     assert np.array_equal(e.h_edges, hE)
 
@@ -440,6 +447,26 @@ def test_boundary_lines_only_raise_the_folded_height():
                 h1 = height_H(select_color(e, 1))
                 h2 = height_H(mod2_project(e))
                 assert (h1 <= h2).all()
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("field", ["homogeneous", "inhomogeneous"])
+def test_two_colored_sampler_matches_scalar_scan(width, field):
+    f = {"homogeneous": HOMOG, "inhomogeneous": INHOMOG}[field]
+    geom = np.random.default_rng(width)
+    for height, seed in ((1, 2), (5, 3), (11, 4)):
+        left = (geom.random(height) < 0.5).astype(np.uint8) * 2
+        bottom = (geom.random(width) < 0.5).astype(np.uint8) * 2
+        outcomes = {}
+        for x in range(1, width + 1):
+            for y in range(1, height + 1):
+                u1, u2 = cell_uniforms(seed, 1, x, y)
+                b1, b2 = f.at(x, y)
+                outcomes[(x, y)] = (u1 < b1, u2 >= b2)
+        e = sample_two_colored_with_boundary(width, height, f, left, bottom, seed, replica=1)
+        ref = _scan_two_colored(outcomes, width, height, left, bottom)
+        assert np.array_equal(e.v_edges, ref.v_edges), (height, seed)
+        assert np.array_equal(e.h_edges, ref.h_edges), (height, seed)
 
 
 def test_monotonicity_verifier():
