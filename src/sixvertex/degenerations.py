@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .lattice import ParameterField, height_H, make_field, sample_cs6v
-from .lmatrix import _ln_code, fold_projection, l1_weight
+from .lmatrix import _key_codes, fold_projection, l1_weight
 from .report import VerificationReport
 from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, render
 
@@ -219,20 +219,22 @@ def verify_tpng_equivalence(n: int) -> VerificationReport:
     if not 1 <= n <= 3:
         raise ValueError("equivalence enumeration limited to n <= 3")
     rep = VerificationReport(f"modified-min equivalence n={n}")
-    size = 1 << n
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                for l in range(size):
-                    rep.cases += 1
-                    lhs = specialize_t(W[_ln_code(i, j, k, l, n)])
-                    levels = [
-                        specialize_t(l1_weight(
-                            fold_projection(i, r), fold_projection(j, r),
-                            fold_projection(k, r), fold_projection(l, r)))
-                        for r in range(1, n + 1)
-                    ]
-                    rhs = modified_min(levels)
-                    if lhs is not rhs:
-                        rep.fail(f"key ({i},{j};{k},{l}): {render(lhs)} vs {render(rhs)}")
+    v = np.arange(1 << n)
+    lhs = np.array([specialize_t(w).code for w in W])[_key_codes(n)]
+    # Each key's collapsed level symbols as a base-4 number (digit r-1 for
+    # level r), then the modified minimum of every such symbol tuple.
+    symbol = np.array([_T_SYMBOLS.index(specialize_t(l1_weight(*bits)))
+                       for bits in itertools.product((0, 1), repeat=4)])
+    tuples = 0
+    for r in range(1, n + 1):
+        fold = np.array([fold_projection(x, r) for x in v])
+        fi, fj, fk, fl = np.ix_(fold, fold, fold, fold)
+        level = (fi << 3) | (fj << 2) | (fk << 1) | fl
+        tuples = tuples + (symbol[level] << 2 * (r - 1))
+    rhs = np.array([modified_min(_T_SYMBOLS[t >> 2 * r & 3] for r in range(n)).code
+                    for t in range(4 ** n)])[tuples]
+    rep.cases += lhs.size
+    for i, j, k, l in np.argwhere(lhs != rhs).tolist():
+        rep.fail(f"key ({i},{j};{k},{l}): {render(W[lhs[i, j, k, l]])} "
+                 f"vs {render(W[rhs[i, j, k, l]])}")
     return rep

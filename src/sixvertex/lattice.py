@@ -36,6 +36,10 @@ MAX_COLORS is sampled level by level at the cost of single-color sweeps.
 
 Parameters are biperiodic: vertex (x, y) reads entry ((x-1) mod I,
 (y-1) mod J) of two I x J matrices.
+
+The admissibility check reads every vertex's (south, west; north, east) key
+off the edge planes as arrays and folds each shell's keys in one call of the
+level product.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .lmatrix import MAX_COLORS, _ln_code
+from .lmatrix import MAX_COLORS, _levels_from_colors, _ln_code
 from .report import VerificationReport
 
 
@@ -345,11 +349,11 @@ class ColoringScheme:
     bx: int
     by: int
 
-    def block(self, a: int, b: int) -> int:
-        """Shell index (1-based) of vertex (a, b)."""
-        if a < 1 or b < 1:
+    def block(self, a, b):
+        """Shell index (1-based) of vertex (a, b); a and b may be integer arrays."""
+        if np.min(a) < 1 or np.min(b) < 1:
             raise ValueError("vertex coordinates are 1-based")
-        return min(-(-a // self.bx), -(-b // self.by))
+        return np.minimum(-(-a // self.bx), -(-b // self.by))
 
 
 def make_coloring(x, y, field: ParameterField) -> ColoringScheme:
@@ -365,16 +369,6 @@ def make_coloring(x, y, field: ParameterField) -> ColoringScheme:
 
 # ---------------------------------------------------------------------------
 # Multicolor samplers
-
-def _levels_from_colors(masks: np.ndarray, n: int) -> np.ndarray:
-    """Level-parity words of n-color masks: bit L-1 is the parity of colors 1..L."""
-    levels = masks.copy()
-    shift = 1
-    while shift < n:
-        levels ^= levels << shift
-        shift <<= 1
-    return levels & ((1 << n) - 1)
-
 
 def _colors_from_levels(levels: np.ndarray, n: int) -> np.ndarray:
     """Color masks of level-parity words, in place: color c flips levels c-1 and c apart."""
@@ -474,22 +468,31 @@ def admissibility_violations(e: PathEnsemble, scheme: "ColoringScheme | None" = 
     against the k-color rule on its local color window, and colors of later
     shells must be absent there.
     """
-    bad = []
+    k, l, left, bottom = (np.asarray(a, dtype=np.int64) for a in (
+        e.v_edges, e.h_edges, e.boundary_left, e.boundary_bottom))
+    i = np.concatenate((bottom[:, None], k[:, :-1]), axis=1)  # south inputs
+    j = np.concatenate((left[None, :], l[:-1]), axis=0)  # west inputs
     flip = (1 << e.n_colors) - 1 if e.variant == "s6v" else 0
-    for y in range(1, e.height + 1):
-        for x in range(1, e.width + 1):
-            i, j = e.inputs_at(x, y)
-            k, l = e.outputs_at(x, y)
-            if scheme is None:
-                n, shift = e.n_colors, 0
-            else:
-                n = min(scheme.block(x, y), e.n_colors)
-                shift = e.n_colors - n
-                if (i | j | k | l) & ((1 << shift) - 1):
-                    bad.append(f"vertex ({x},{y}): later-shell color present")
-                    continue
-            if _ln_code(i >> shift, (j >> shift) ^ flip, k >> shift, (l >> shift) ^ flip, n) == 0:
-                bad.append(f"vertex ({x},{y}): key ({i},{j};{k},{l}) unsupported")
+    if scheme is None:
+        shells = np.full(k.shape, e.n_colors)
+    else:
+        shells = np.minimum(scheme.block(np.arange(1, e.width + 1)[:, None],
+                                         np.arange(1, e.height + 1)), e.n_colors)
+    kind = np.zeros(k.shape, dtype=np.int8)  # 1: later-shell color, 2: unsupported key
+    for n in np.unique(shells).tolist():
+        at = shells == n
+        shift = e.n_colors - n
+        code = _ln_code(i[at] >> shift, (j[at] >> shift) ^ flip, k[at] >> shift,
+                        (l[at] >> shift) ^ flip, n)
+        later = (i[at] | j[at] | k[at] | l[at]) & ((1 << shift) - 1) != 0
+        kind[at] = np.where(later, 1, np.where(code == 0, 2, 0))
+    bad = []
+    for y, x in np.argwhere(kind.T).tolist():
+        if kind[x, y] == 1:
+            bad.append(f"vertex ({x + 1},{y + 1}): later-shell color present")
+        else:
+            bad.append(f"vertex ({x + 1},{y + 1}): key ({i[x, y]},{j[x, y]};"
+                       f"{k[x, y]},{l[x, y]}) unsupported")
     return bad
 
 
@@ -499,7 +502,10 @@ def verify_monotonicity(trials: int, max_size: int, field: ParameterField,
     first-color height at the top-right corner.
 
     Each trial draws a box size, a second-color boundary subset, and a fresh
-    replica; violations list any trial with H1 > H2.
+    replica; violations list any trial with H1 > H2, or whose mod-2 fold
+    loses a line on some row: lines are created and annihilated in pairs, so
+    the south inputs plus the left line of a row equal its north outputs plus
+    its east line mod 2.
     """
     rep = VerificationReport("boundary monotonicity")
     geom = np.random.default_rng(seed)
@@ -509,9 +515,16 @@ def verify_monotonicity(trials: int, max_size: int, field: ParameterField,
         left = (geom.random(h) < 0.5).astype(np.uint8) * 2
         bottom = (geom.random(w) < 0.5).astype(np.uint8) * 2
         e = sample_two_colored_with_boundary(w, h, field, left, bottom, seed, replica=t)
+        folded = mod2_project(e)
         h1 = int(height_H(select_color(e, 1))[w, h])
-        h2 = int(height_H(mod2_project(e))[w, h])
+        h2 = int(height_H(folded)[w, h])
+        north = folded.v_edges.sum(axis=0)
+        south = np.concatenate(([folded.boundary_bottom.sum()], north[:-1]))
+        odd = (south + north + folded.boundary_left + folded.h_edges[-1]) & 1
+        problems = [f"H1={h1} > H2={h2}"] if h1 > h2 else []
+        if odd.any():
+            problems.append(f"line parity broken on row {np.flatnonzero(odd)[0] + 1}")
         rep.cases += 1
-        if h1 > h2:
-            rep.fail(f"trial {t}: H1={h1} > H2={h2} on {w}x{h}")
+        if problems:
+            rep.fail(f"trial {t}: {'; '.join(problems)} on {w}x{h}")
     return rep

@@ -8,6 +8,11 @@ the first r colors on each edge, and the ten-element symbolic algebra from
 `weights` multiplies the level weights together, so shared randomness shows
 up as idempotence and contradictory demands annihilate to 0.
 
+One fold, `_ln_code`, computes the level product for one key or broadcast
+arrays of keys; the exhaustive verifiers are reductions over the table of all
+key codes (rows for stochasticity, fibers of a color projection for color
+ignorance and mod-2 erasure).
+
 The same structure yields an exact sampler driven by two coins per vertex:
 one cross/continue coin on the b1 axis shared by all both-occupied levels,
 and one nucleation coin on the b2 axis shared by all empty levels.
@@ -16,6 +21,7 @@ and one nucleation coin on the b2 axis shared by all empty levels.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
@@ -24,19 +30,8 @@ import numpy as np
 
 from . import weights
 from .report import VerificationReport
-from .weights import (
-    B1,
-    B1_B2,
-    B1_ONE_MINUS_B2,
-    B2,
-    ONE,
-    ONE_MINUS_B1,
-    ONE_MINUS_B1_B2,
-    ONE_MINUS_B1_ONE_MINUS_B2,
-    ONE_MINUS_B2,
-    Weight,
-    ZERO,
-)
+from .weights import (B1, B1_B2, B1_ONE_MINUS_B2, B2, ONE, ONE_MINUS_B1, ONE_MINUS_B1_B2,
+                      ONE_MINUS_B1_ONE_MINUS_B2, ONE_MINUS_B2, Weight, ZERO)
 
 MAX_COLORS = 32
 
@@ -61,11 +56,7 @@ def parse_colors(text: str) -> tuple[int, int]:
     """Inverse of format_colors; returns (bits, n)."""
     if not text or any(c not in "01" for c in text):
         raise ValueError(f"not a color bit string: {text!r}")
-    bits = 0
-    for r, c in enumerate(text):
-        if c == "1":
-            bits |= 1 << r
-    return bits, len(text)
+    return sum(1 << r for r, c in enumerate(text) if c == "1"), len(text)
 
 
 def fold_projection(bits: int, r: int) -> int:
@@ -102,8 +93,15 @@ def _build_l1() -> tuple[Weight, ...]:
 
 
 _L1 = _build_l1()
-_L1_CODES = tuple(w.code for w in _L1)
-_STAR_CODES = tuple(tuple(weights.star(a, b).code for b in weights.W) for a in weights.W)
+
+
+# Read-only weight codes of the one-color rule, indexed (i << 3) | (j << 2) |
+# (k << 1) | l, and of the product, indexed [a, b].
+_L1_CODES = np.array([w.code for w in _L1], dtype=np.int8)
+_STAR_CODES = np.array([[weights.star(a, b).code for b in weights.W] for a in weights.W],
+                       dtype=np.int8)
+_L1_CODES.setflags(write=False)
+_STAR_CODES.setflags(write=False)
 
 
 def l1_weight(i: int, j: int, k: int, l: int) -> Weight:
@@ -114,20 +112,30 @@ def l1_weight(i: int, j: int, k: int, l: int) -> Weight:
     return _L1[(i << 3) | (j << 2) | (k << 1) | l]
 
 
-def _ln_code(i: int, j: int, k: int, l: int, n: int) -> int:
+def _ln_code(i, j, k, l, n: int):
+    """Weight code of the n-color key (i, j; k, l): the product over levels r
+    of the one-color codes of the r-fold projections.  The words may be ints
+    or integer arrays, which broadcast together."""
     si = sj = sk = sl = 0
-    code = 1  # ONE
-    star = _STAR_CODES
-    l1 = _L1_CODES
+    code = ONE.code
     for r in range(n):
         si ^= (i >> r) & 1
         sj ^= (j >> r) & 1
         sk ^= (k >> r) & 1
         sl ^= (l >> r) & 1
-        code = star[code][l1[(si << 3) | (sj << 2) | (sk << 1) | sl]]
-        if code == 0:
-            return 0
+        code = _STAR_CODES[code, _L1_CODES[(si << 3) | (sj << 2) | (sk << 1) | sl]]
     return code
+
+
+@lru_cache(maxsize=None)
+def _key_codes(n: int) -> np.ndarray:
+    """Read-only weight codes of all (2^n)^4 n-color keys, indexed [i, j, k, l]."""
+    if not 1 <= n <= 4:
+        raise ValueError("key tables limited to 1 <= n <= 4 (16^n keys)")
+    v = np.arange(1 << n)
+    codes = _ln_code(v[:, None, None, None], v[:, None, None], v[:, None], v, n)
+    codes.setflags(write=False)
+    return codes
 
 
 def ln_weight(i: int, j: int, k: int, l: int, n: int) -> Weight:
@@ -153,24 +161,13 @@ class OutcomeDistribution:
         return dict(zip(self.outcomes, self.probs))
 
 
-def _colors_sort_key(n):
-    def key(pair):
-        k, l = pair
-        return (format_colors(k, n), format_colors(l, n))
-    return key
-
-
 @lru_cache(maxsize=4096)
 def _ln_distribution_cached(i, j, n, b1, b2):
-    support = []
-    for k in range(1 << n):
-        for l in range(1 << n):
-            c = _ln_code(i, j, k, l, n)
-            if c:
-                support.append(((k, l), weights.W[c]))
-    support.sort(key=lambda kv: _colors_sort_key(n)(kv[0]))
-    outcomes = tuple(kv[0] for kv in support)
-    probs = tuple(weights.evaluate(w, b1, b2) for _, w in support)
+    v = np.arange(1 << n)
+    codes = _ln_code(i, j, v[:, None], v, n)
+    outcomes = tuple(sorted(map(tuple, np.argwhere(codes).tolist()),
+                            key=lambda kl: (format_colors(kl[0], n), format_colors(kl[1], n))))
+    probs = tuple(weights.evaluate(weights.W[codes[kl]], b1, b2) for kl in outcomes)
     return OutcomeDistribution(n, outcomes, probs)
 
 
@@ -187,6 +184,26 @@ def ln_distribution(i: int, j: int, n: int, b1: float, b2: float) -> OutcomeDist
 # ---------------------------------------------------------------------------
 # Two-coin sampler
 
+def _levels_from_colors(words, n: int):
+    """Level-parity words of n-color words (ints or arrays): bit L-1 is the
+    parity of colors 1..L."""
+    shift = 1
+    while shift < n:
+        words = words ^ (words << shift)
+        shift <<= 1
+    return words & ((1 << n) - 1)
+
+
+def _two_coin(i, j, n: int, cross, nucleate):
+    """(north, east) words of the two-coin rule for ints or broadcast arrays;
+    cross and nucleate are level words, 0 or all n bits."""
+    si, sj = _levels_from_colors(i, n), _levels_from_colors(j, n)
+    one = si ^ sj  # levels with one input keep it
+    shared = (si & cross) | (~si & nucleate)
+    sk, sl = (si & one) | (shared & ~one), (sj & one) | (shared & ~one)
+    return (sk ^ (sk << 1)) & ((1 << n) - 1), (sl ^ (sl << 1)) & ((1 << n) - 1)
+
+
 def vertex_outcome(i: int, j: int, n: int, cross: bool, nucleate: bool) -> tuple[int, int]:
     """Deterministic outcome of the two-coin rule.
 
@@ -196,22 +213,8 @@ def vertex_outcome(i: int, j: int, n: int, cross: bool, nucleate: bool) -> tuple
     differences.
     """
     _check_key(n, i, j)
-    si = sj = 0
-    prev_k = prev_l = 0
-    k = l = 0
-    for r in range(n):
-        si ^= (i >> r) & 1
-        sj ^= (j >> r) & 1
-        if si != sj:
-            kr, lr = si, sj
-        elif si:
-            kr = lr = 1 if cross else 0
-        else:
-            kr = lr = 1 if nucleate else 0
-        k |= (kr ^ prev_k) << r
-        l |= (lr ^ prev_l) << r
-        prev_k, prev_l = kr, lr
-    return k, l
+    full = (1 << n) - 1
+    return _two_coin(i, j, n, full if cross else 0, full if nucleate else 0)
 
 
 def sample_vertex(i: int, j: int, n: int, b1: float, b2: float,
@@ -240,29 +243,14 @@ def outcome_table(n: int) -> np.ndarray:
     """Packed outcome lookup for the two-coin rule.
 
     Shape (2^n, 2^n, 2, 2), indexed [i, j, cross, nucleate]; each entry holds
-    (north << n) | east as uint32.  Built vectorized; agrees with
-    vertex_outcome entrywise.
+    (north << n) | east as uint32: vertex_outcome's rule on arrays.
     """
     if not 1 <= n <= 12:
         raise ValueError("outcome tables limited to 1 <= n <= 12")
-    size = 1 << n
-    bits = (np.arange(size, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    par = np.bitwise_and(np.cumsum(bits, axis=1), 1).astype(np.uint8)
-    pi = par[:, None, :, None, None]  # i, j, level, cross, nucleate
-    pj = par[None, :, :, None, None]
-    coin = np.zeros((1, 1, n, 2, 2), dtype=np.uint8)
-    coin[..., 1, :] = 1  # cross axis
-    nuc = np.zeros((1, 1, n, 2, 2), dtype=np.uint8)
-    nuc[..., :, 1] = 1
-    shared = np.where(pi == 1, coin, nuc)
-    K = np.where(pi != pj, pi, shared)
-    L = np.where(pi != pj, pj, shared)
-    kb = K ^ np.concatenate([np.zeros_like(K[..., :1, :, :]), K[..., :-1, :, :]], axis=2)
-    lb = L ^ np.concatenate([np.zeros_like(L[..., :1, :, :]), L[..., :-1, :, :]], axis=2)
-    pos = (1 << np.arange(n, dtype=np.uint32))[None, None, :, None, None]
-    k = (kb.astype(np.uint32) * pos).sum(axis=2)
-    l = (lb.astype(np.uint32) * pos).sum(axis=2)
-    table = (k << np.uint32(n)) | l
+    v = np.arange(1 << n, dtype=np.uint32)
+    coin = np.array([0, (1 << n) - 1], dtype=np.uint32)
+    k, l = _two_coin(v[:, None, None, None], v[:, None, None], n, coin[:, None], coin)
+    table = (k << n) | l
     table.setflags(write=False)
     return table
 
@@ -288,12 +276,8 @@ def partition_projection(bits: int, cuts: tuple[int, ...], n: int) -> int:
     """Merge each consecutive color block to its parity; block b -> bit b-1."""
     validate_partition(cuts, n)
     _check_key(n, bits)
-    out = 0
-    prev = 0
-    for b, r in enumerate(cuts):
-        out |= (fold_projection(bits, r) ^ prev) << b
-        prev = fold_projection(bits, r)
-    return out
+    levels = [fold_projection(bits, r) for r in cuts]
+    return sum((a ^ b) << c for c, (a, b) in enumerate(zip(levels, [0] + levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +292,20 @@ _ROW_FAMILIES = (
 )
 
 
+def _exact_misses(vals: np.ndarray, want) -> np.ndarray:
+    """Exactly rounded sums (fsum) over the last axis of vals where they miss
+    want by more than VERIFY_TOL, NaN elsewhere.  numpy's sums pick the
+    candidates: their rounding error cannot reach VERIFY_TOL / 2 unless the
+    sum is far off anyway."""
+    want = np.broadcast_to(want, vals.shape[:-1])
+    got = np.full(want.shape, np.nan)
+    for idx in zip(*np.nonzero(np.abs(vals.sum(axis=-1) - want) > VERIFY_TOL / 2)):
+        total = fsum(vals[idx])
+        if abs(total - want[idx]) > VERIFY_TOL:
+            got[idx] = total
+    return got
+
+
 def verify_stochastic(n: int, grid=DEFAULT_GRID) -> VerificationReport:
     """Row sums of the n-color weights equal 1 with nonnegative entries.
 
@@ -318,30 +316,56 @@ def verify_stochastic(n: int, grid=DEFAULT_GRID) -> VerificationReport:
     if not 1 <= n <= 4:
         raise ValueError("stochasticity enumeration limited to n <= 4 (16^n keys)")
     rep = VerificationReport(f"stochasticity n={n}")
-    tables = [weights.eval_table(b1, b2) for b1, b2 in grid]
     size = 1 << n
-    for i in range(size):
-        for j in range(size):
-            row = [
-                _ln_code(i, j, k, l, n)
-                for k in range(size)
-                for l in range(size)
-            ]
-            nonzero = tuple(sorted(c for c in row if c))
-            rep.cases += 1
-            if nonzero not in _ROW_FAMILIES:
-                rep.fail(f"row ({format_colors(i, n)},{format_colors(j, n)}): "
-                         f"weights not a unity family: {nonzero}")
-            for (b1, b2), tbl in zip(grid, tables):
-                rep.cases += 1
-                vals = [tbl[c] for c in row]
-                if min(vals) < 0.0:
-                    rep.fail(f"negative weight in row ({i},{j}) at ({b1},{b2})")
-                total = fsum(vals)
-                if abs(total - 1.0) > VERIFY_TOL:
-                    rep.fail(f"row ({format_colors(i, n)},{format_colors(j, n)}) "
-                             f"sums to {total!r} at (b1,b2)=({b1},{b2})")
+    rows = _key_codes(n).reshape(size * size, -1)  # row i * size + j
+    # at most 4 nonzero codes, which sorted end the row as one family does
+    families = np.array([(0,) * (4 - len(f)) + f for f in _ROW_FAMILIES])
+    unity = (np.count_nonzero(rows, axis=1) <= 4) & \
+        (np.sort(rows, axis=1)[:, None, -4:] == families).all(axis=2).any(axis=1)
+    negative = np.zeros((len(grid), len(rows)), dtype=bool)
+    sums = np.empty((len(grid), len(rows)))
+    for g, (b1, b2) in enumerate(grid):  # one grid point at a time: 16^n floats
+        vals = np.array(weights.eval_table(b1, b2))[rows]
+        negative[g], sums[g] = vals.min(axis=1) < 0.0, _exact_misses(vals, 1.0)
+    rep.cases += len(rows) * (1 + len(grid))
+    for row in np.flatnonzero(~unity | negative.any(0) | ~np.isnan(sums).all(0)).tolist():
+        i, j = divmod(row, size)
+        if not unity[row]:
+            rep.fail(f"row ({format_colors(i, n)},{format_colors(j, n)}): weights not a "
+                     f"unity family: {tuple(sorted(c for c in rows[row].tolist() if c))}")
+        for g, (b1, b2) in enumerate(grid):
+            if negative[g, row]:
+                rep.fail(f"negative weight in row ({i},{j}) at ({b1},{b2})")
+            if not np.isnan(sums[g, row]):
+                rep.fail(f"row ({format_colors(i, n)},{format_colors(j, n)}) "
+                         f"sums to {float(sums[g, row])!r} at (b1,b2)=({b1},{b2})")
     rep.details["grid"] = list(grid)
+    return rep
+
+
+def _fiber_check(rep: VerificationReport, n: int, proj, m: int, grid, head: str,
+                 target: str) -> VerificationReport:
+    """Summing the n-color law over the output fibers of a color projection
+    (proj[v] is the m-color word of the n-color word v) gives the m-color law
+    of the projected inputs within 1e-12 on the grid.  proj is linear over
+    xor and onto, so all fibers have 2^(n-m) words."""
+    size, psize, tail = 1 << n, 1 << m, 1 << (n - m)
+    proj = np.asarray(proj)
+    order = np.argsort(proj, kind="stable")  # words of fiber p at p*tail..(p+1)*tail-1
+    codes = _key_codes(n)[:, :, order[:, None], order].reshape(
+        size, size, psize, tail, psize, tail).transpose(0, 1, 2, 4, 3, 5).reshape(
+        size, size, psize, psize, -1)
+    mcodes = _key_codes(m)[proj[:, None], proj]
+    tables = np.array([weights.eval_table(b1, b2) for b1, b2 in grid])
+    got = np.empty(mcodes.shape + (len(grid),))  # the grid point varies fastest
+    for g, tbl in enumerate(tables):
+        got[..., g] = _exact_misses(tbl[codes], tbl[mcodes])
+    rep.cases += got.size
+    for i, j, kp, lp, g in np.argwhere(~np.isnan(got)).tolist():
+        b1, b2 = grid[g]
+        rep.fail(f"{head} i={format_colors(i, n)} j={format_colors(j, n)} "
+                 f"{target}=({format_colors(kp, m)},{format_colors(lp, m)}) at ({b1},{b2}): "
+                 f"{float(got[i, j, kp, lp, g])!r} vs {float(tables[g, mcodes[i, j, kp, lp]])!r}")
     return rep
 
 
@@ -354,30 +378,9 @@ def verify_color_ignorance(n: int, m: int, grid=DEFAULT_GRID) -> VerificationRep
     """
     if not 1 <= n <= 3 or not 1 <= m <= n:
         raise ValueError("color-ignorance enumeration limited to 1 <= m <= n <= 3")
-    rep = VerificationReport(f"color ignorance n={n} m={m}")
-    tables = [weights.eval_table(b1, b2) for b1, b2 in grid]
-    size, psize, tails = 1 << n, 1 << m, 1 << (n - m)
-    pmask = psize - 1
-    for i in range(size):
-        for j in range(size):
-            for kp in range(psize):
-                for lp in range(psize):
-                    mcode = _ln_code(i & pmask, j & pmask, kp, lp, m)
-                    codes = [
-                        _ln_code(i, j, kp | (kt << m), lp | (lt << m), n)
-                        for kt in range(tails)
-                        for lt in range(tails)
-                    ]
-                    for (b1, b2), tbl in zip(grid, tables):
-                        rep.cases += 1
-                        got = fsum(tbl[c] for c in codes)
-                        want = tbl[mcode]
-                        if abs(got - want) > VERIFY_TOL:
-                            rep.fail(
-                                f"marginal mismatch i={format_colors(i, n)} "
-                                f"j={format_colors(j, n)} prefix=({format_colors(kp, m)},"
-                                f"{format_colors(lp, m)}) at ({b1},{b2}): {got!r} vs {want!r}")
-    return rep
+    return _fiber_check(VerificationReport(f"color ignorance n={n} m={m}"), n,
+                        np.arange(1 << n) & ((1 << m) - 1), m, grid,
+                        "marginal mismatch", "prefix")
 
 
 def verify_mod2_erasure(n: int, cuts: tuple[int, ...], grid=DEFAULT_GRID) -> VerificationReport:
@@ -387,34 +390,9 @@ def verify_mod2_erasure(n: int, cuts: tuple[int, ...], grid=DEFAULT_GRID) -> Ver
     if not 1 <= n <= 3:
         raise ValueError("erasure enumeration limited to n <= 3")
     validate_partition(cuts, n)
-    m = len(cuts)
-    rep = VerificationReport(f"mod-2 erasure n={n} cuts={cuts}")
-    tables = [weights.eval_table(b1, b2) for b1, b2 in grid]
-    size = 1 << n
-    proj = [partition_projection(v, cuts, n) for v in range(size)]
-    fibers: dict[int, list[int]] = {}
-    for v in range(size):
-        fibers.setdefault(proj[v], []).append(v)
-    for i in range(size):
-        for j in range(size):
-            for kp in range(1 << m):
-                for lp in range(1 << m):
-                    mcode = _ln_code(proj[i], proj[j], kp, lp, m)
-                    codes = [
-                        _ln_code(i, j, k, l, n)
-                        for k in fibers.get(kp, ())
-                        for l in fibers.get(lp, ())
-                    ]
-                    for (b1, b2), tbl in zip(grid, tables):
-                        rep.cases += 1
-                        got = fsum(tbl[c] for c in codes)
-                        want = tbl[mcode]
-                        if abs(got - want) > VERIFY_TOL:
-                            rep.fail(
-                                f"erasure mismatch cuts={cuts} i={format_colors(i, n)} "
-                                f"j={format_colors(j, n)} target=({format_colors(kp, m)},"
-                                f"{format_colors(lp, m)}) at ({b1},{b2}): {got!r} vs {want!r}")
-    return rep
+    return _fiber_check(VerificationReport(f"mod-2 erasure n={n} cuts={cuts}"), n,
+                        [partition_projection(v, cuts, n) for v in range(1 << n)],
+                        len(cuts), grid, f"erasure mismatch cuts={cuts}", "target")
 
 
 def verify_sampler_matrix(n: int, grid=DEFAULT_GRID) -> VerificationReport:
@@ -448,14 +426,8 @@ def verify_sampler_matrix(n: int, grid=DEFAULT_GRID) -> VerificationReport:
 
 def l2_golden_table() -> list[tuple[int, int, int, int, Weight]]:
     """All nonzero two-color keys with weights, in canonical bit-string order."""
-    rows = []
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    w = weights.W[_ln_code(i, j, k, l, 2)]
-                    if not w.zero:
-                        rows.append((i, j, k, l, w))
+    codes = _key_codes(2)
+    rows = [(*key, weights.W[codes[tuple(key)]]) for key in np.argwhere(codes).tolist()]
     rows.sort(key=lambda r: tuple(format_colors(v, 2) for v in r[:4]))
     return rows
 
@@ -495,17 +467,14 @@ def verify_golden_table() -> VerificationReport:
         rep.cases += 1
         if bad in keys:
             rep.fail(f"contradictory key present: {bad}")
-    for i, j, k, l, _ in rows:
-        for r in (1, 2):
-            rep.cases += 1
-            # Creation/annihilation happens in pairs, so level occupancy is
-            # conserved mod 2 only.
-            if (fold_projection(i, r) ^ fold_projection(j, r)
-                    != fold_projection(k, r) ^ fold_projection(l, r)):
-                rep.fail(f"level-{r} parity not conserved on key {(i, j, k, l)}")
-    counts: dict[str, int] = {}
-    for _, _, _, _, w in rows:
-        counts[weights.render(w)] = counts.get(weights.render(w), 0) + 1
+    # Creation/annihilation happens in pairs, so level occupancy is conserved
+    # mod 2 only: levels 1 and 2 of i ^ j ^ k ^ l are even.
+    moved = np.bitwise_xor.reduce(np.array([row[:4] for row in rows]).reshape(-1, 4), axis=1)
+    odd = np.column_stack([moved & 1, (moved ^ moved >> 1) & 1])
+    rep.cases += odd.size
+    for row, level in np.argwhere(odd).tolist():
+        rep.fail(f"level-{level + 1} parity not conserved on key {rows[row][:4]}")
+    counts = dict(Counter(weights.render(row[4]) for row in rows))
     rep.cases += 1
     if counts != GOLDEN_WEIGHT_COUNTS:
         rep.fail(f"weight multiset mismatch: {counts}")

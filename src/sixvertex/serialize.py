@@ -144,6 +144,14 @@ def ensemble_to_json(e: PathEnsemble, meta: dict | None = None) -> dict:
     return out
 
 
+def _index(value, extent: int, what: str) -> int:
+    """0-based index of a 1-based coordinate or color, which must lie in 1..extent."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 1 <= value <= extent:
+        raise ValueError(f"{what} {value!r} outside 1..{extent}")
+    return value - 1
+
+
 def ensemble_from_json(doc: dict) -> PathEnsemble:
     if doc.get("format") != "sixvertex-ensemble":
         raise ValueError("not an ensemble document")
@@ -151,15 +159,14 @@ def ensemble_from_json(doc: dict) -> PathEnsemble:
     dtype = _mask_dtype(n)
     v, hE, left, bottom = _zero_planes(width, height, dtype)
     for entry in doc["colors"]:
-        bit = dtype(1 << (entry["color"] - 1))
-        for x, y in entry["v"]:
-            v[x - 1, y - 1] |= bit
-        for x, y in entry["h"]:
-            hE[x - 1, y - 1] |= bit
+        bit = dtype(1 << _index(entry["color"], n, "color"))
+        for plane, key in ((v, "v"), (hE, "h")):
+            for x, y in entry[key]:
+                plane[_index(x, width, "x"), _index(y, height, "y")] |= bit
         for y in entry["left"]:
-            left[y - 1] |= bit
+            left[_index(y, height, "y")] |= bit
         for x in entry["bottom"]:
-            bottom[x - 1] |= bit
+            bottom[_index(x, width, "x")] |= bit
     return PathEnsemble(doc["variant"], n, width, height, v, hE, left, bottom)
 
 
@@ -174,7 +181,8 @@ def write_pointset(ps: PointSet, path) -> None:
 
 
 def read_pointset(path, width: int | None = None, height: int | None = None) -> PointSet:
-    """Inverse of write_pointset; extents default to the maximal coordinates."""
+    """Inverse of write_pointset; extents default to the maximal coordinates.
+    A coordinate outside 1..extent is a ValueError."""
     pts = []
     with open(path) as f:
         for line in f:
@@ -185,7 +193,8 @@ def read_pointset(path, width: int | None = None, height: int | None = None) -> 
             pts.append((int(xs), int(ys)))
     w = width if width is not None else max((x for x, _ in pts), default=1)
     h = height if height is not None else max((y for _, y in pts), default=1)
+    cells = [(_index(x, w, "x"), _index(y, h, "y")) for x, y in pts]
     grid = np.zeros((w, h), dtype=bool)
-    for x, y in pts:
-        grid[x - 1, y - 1] = True
+    for cell in cells:
+        grid[cell] = True
     return PointSet(w, h, grid)

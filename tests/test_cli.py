@@ -374,3 +374,40 @@ def test_sample_rejects_options_its_model_ignores(argv, config, tmp_path, capsys
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert all(f"--{k}" in message for k in ignored)
     assert not out.exists()
+
+
+# Ordered (name, cases) of the battery below: 41 checks, 212,715 cases.
+BATTERY_SHAPE = [
+    ('stochasticity n=1', 68), ('stochasticity n=2', 272), ('stochasticity n=3', 1088),
+    ('stochasticity n=4', 4352), ('color ignorance n=1 m=1', 256),
+    ('mod-2 erasure n=1 cuts=(1,)', 256), ('sampler law n=1', 96),
+    ('modified-min equivalence n=1', 16), ('color ignorance n=2 m=1', 1024),
+    ('color ignorance n=2 m=2', 4096), ('mod-2 erasure n=2 cuts=(2,)', 1024),
+    ('mod-2 erasure n=2 cuts=(1, 2)', 4096), ('sampler law n=2', 512),
+    ('modified-min equivalence n=2', 256), ('color ignorance n=3 m=1', 4096),
+    ('color ignorance n=3 m=2', 16384), ('color ignorance n=3 m=3', 65536),
+    ('mod-2 erasure n=3 cuts=(3,)', 4096), ('mod-2 erasure n=3 cuts=(1, 3)', 16384),
+    ('mod-2 erasure n=3 cuts=(2, 3)', 16384), ('mod-2 erasure n=3 cuts=(1, 2, 3)', 65536),
+    ('sampler law n=3', 2496), ('modified-min equivalence n=3', 4096), ('two-color table', 68),
+    ('hammersley law 2x2 p=0.25', 3), ('hammersley law 2x2 p=0.5', 3),
+    ('hammersley law 2x2 p=0.75', 3), ('hammersley law 3x3 p=0.25', 4),
+    ('hammersley law 3x3 p=0.5', 4), ('hammersley law 3x3 p=0.75', 4),
+    ('hammersley law 2x3 p=0.25', 3), ('hammersley law 2x3 p=0.5', 3),
+    ('hammersley law 2x3 p=0.75', 3), ('hammersley coupling 40x40 p=0.35', 5),
+    ('complement duality', 2), ('height complement identity', 2),
+    ('colored admissibility', 10), ('X equals corner height', 5),
+    ('superadditivity n_max=4', 150), ('boundary monotonicity', 20),
+    ('ergodic hypotheses k=2', 3),
+]
+
+
+def test_verify_battery_shape_is_pinned(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--seed", "1", "--n", "4", "--trials", "20", "--max-size", "8",
+               "--replicas", "20", "--out", str(report)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("verify: PASS (41/41 checks)\n")
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is True
+    assert [(c["name"], c["cases"]) for c in doc["checks"]] == BATTERY_SHAPE
+    assert sum(c["cases"] for c in doc["checks"]) == 212_715

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sixvertex import lattice
 from sixvertex.lattice import (
     ColoringScheme,
     ParameterField,
@@ -30,6 +31,7 @@ from sixvertex.lattice import (
 from sixvertex.lmatrix import MAX_COLORS, vertex_outcome
 from sixvertex.rng import cell_uniforms, row_uniforms
 from sixvertex.serialize import ensemble_to_bytes
+from admissibility_oracle import admissibility_violations as admissibility_oracle
 from sweep_oracle import sweep_rows
 
 HOMOG = make_field(0.3, 0.7)
@@ -473,3 +475,58 @@ def test_monotonicity_verifier():
     rep = verify_monotonicity(trials=60, max_size=10, field=HOMOG, seed=1)
     assert rep.passed, rep.summary()
     assert rep.cases == 60
+
+
+@pytest.mark.parametrize("drop", ["south", "west"])
+def test_monotonicity_verifier_sees_lost_boundary_lines(drop, monkeypatch):
+    """A sweep that ignores the lines entering from below or from the left
+    keeps H1 <= H2, but breaks the line parity of the rows they enter."""
+    real = lattice._carry_rows
+
+    def dropped(width, coins, south=0, west=0):
+        return real(width, coins, 0 if drop == "south" else south, 0 if drop == "west" else west)
+
+    monkeypatch.setattr(lattice, "_carry_rows", dropped)
+    rep = verify_monotonicity(trials=60, max_size=10, field=HOMOG, seed=1)
+    assert not rep.passed
+    assert rep.cases == 60
+    assert all("line parity broken on row" in v for v in rep.violations)
+
+
+def _corrupted(e, seed, flips=3):
+    """A copy of e with a few random color bits flipped on its edges and one
+    on its left boundary."""
+    rng = np.random.default_rng(seed)
+    v, hE, left = e.v_edges.copy(), e.h_edges.copy(), e.boundary_left.copy()
+    for arr in (v, hE):
+        cells = rng.integers(0, e.width, flips), rng.integers(0, e.height, flips)
+        np.bitwise_xor.at(arr, cells, (1 << rng.integers(0, e.n_colors, flips)).astype(arr.dtype))
+    left[rng.integers(0, e.height)] ^= left.dtype.type(1 << int(rng.integers(0, e.n_colors)))
+    return PathEnsemble(e.variant, e.n_colors, e.width, e.height, v, hE, left,
+                        e.boundary_bottom.copy())
+
+
+def _admissibility_inputs():
+    two = sample_two_colored_with_boundary(
+        13, 11, INHOMOG, (np.arange(11) % 3 == 0).astype(np.uint8) * 2,
+        (np.arange(13) % 2 == 0).astype(np.uint8) * 2, 4)
+    cases = [("s6v", sample_s6v(23, 17, INHOMOG, 2), None),
+             ("cs6v", sample_cs6v(17, 23, INHOMOG, 3), None),
+             ("two-colored", two, None)]
+    for n, direction, field in ((1, (1, 1), FIELD_2X3), (3, (2, 1), FIELD_2X3),
+                                (9, (1, 1), FIELD_2X3), (MAX_COLORS, (1, 1), HOMOG)):
+        scheme = make_coloring(*direction, field)
+        e = sample_colored_cs6v(n, scheme, field, n)
+        cases += [(f"colored-{n}", e, scheme), (f"colored-{n}-unshelled", e, None)]
+    return cases
+
+
+@pytest.mark.parametrize("name, e, scheme", _admissibility_inputs(),
+                         ids=[c[0] for c in _admissibility_inputs()])
+def test_admissibility_matches_scalar_oracle(name, e, scheme):
+    assert admissibility_violations(e, scheme) == admissibility_oracle(e, scheme)
+    for seed in range(4):
+        bad = _corrupted(e, seed)
+        want = admissibility_oracle(bad, scheme)
+        assert want, seed  # every corrupted copy holds violations
+        assert admissibility_violations(bad, scheme) == want, seed

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sixvertex import weights
+from sixvertex import lmatrix, weights
+from sixvertex.degenerations import verify_tpng_equivalence
 from sixvertex.lmatrix import (
     coin_law,
     contiguous_partitions,
@@ -249,3 +250,81 @@ def test_range_guards():
         ln_weight(4, 0, 0, 0, 2)
     with pytest.raises(ValueError):
         ln_distribution(0, 0, 2, 1.2, 0.5)
+
+
+def _scalar_vertex_outcome(i, j, n, cross, nucleate):
+    """Reference two-coin rule, one level at a time."""
+    si = sj = prev_k = prev_l = k = l = 0
+    for r in range(n):
+        si ^= (i >> r) & 1
+        sj ^= (j >> r) & 1
+        if si != sj:
+            kr, lr = si, sj
+        else:
+            kr = lr = int(cross if si else nucleate)
+        k |= (kr ^ prev_k) << r
+        l |= (lr ^ prev_l) << r
+        prev_k, prev_l = kr, lr
+    return k, l
+
+
+def test_two_coin_rule_matches_scalar_oracle():
+    for n in (1, 2, 3, 4):
+        tab = outcome_table(n)
+        for i, j, X, N in itertools.product(range(1 << n), range(1 << n), (0, 1), (0, 1)):
+            k, l = _scalar_vertex_outcome(i, j, n, X, N)
+            assert vertex_outcome(i, j, n, bool(X), bool(N)) == (k, l)
+            assert tab[i, j, X, N] == (k << n) | l
+    rng = np.random.default_rng(32)
+    for i, j in rng.integers(0, 1 << 32, (500, 2)).tolist():
+        for X, N in itertools.product((False, True), repeat=2):
+            assert vertex_outcome(i, j, 32, X, N) == _scalar_vertex_outcome(i, j, 32, X, N)
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive verifiers fail when the one-color table is wrong
+
+@pytest.fixture
+def mutate_l1(monkeypatch):
+    """Replace entries of the one-color code table and clear every cache built on it."""
+    def clear():
+        lmatrix._key_codes.cache_clear()
+        lmatrix._ln_distribution_cached.cache_clear()
+
+    def mutate(key, weight):
+        codes = lmatrix._L1_CODES.copy()
+        codes[int("".join(map(str, key)), 2)] = weight.code
+        codes.setflags(write=False)
+        monkeypatch.setattr(lmatrix, "_L1_CODES", codes)
+        clear()
+
+    yield mutate
+    monkeypatch.undo()
+    clear()
+
+
+# Key (0,0;0,0) weighted b1 instead of b2: cases, violation counts and first
+# violations, the same as those of the per-key loops these verifiers replaced.
+EMPTY_VERTEX_AS_B1 = [
+    (lambda: verify_stochastic(2), 272, 93,
+     "row (00,00): weights not a unity family: (2, 5, 7, 7)"),
+    (lambda: verify_color_ignorance(3, 2), 16384, 282,
+     "marginal mismatch i=000 j=000 prefix=(00,00) at (0.3,0.0): 0.6 vs 0.3"),
+    (lambda: verify_mod2_erasure(3, (1, 3)), 16384, 282,
+     "erasure mismatch cuts=(1, 3) i=000 j=000 target=(00,00) at (0.3,0.0): 0.6 vs 0.3"),
+    (lambda: verify_sampler_matrix(2), 530, 114,
+     "law mismatch i=00 j=00 outcome=(0, 0) at (0.0,0.3): 0.3 vs 0.0"),
+    (lambda: verify_tpng_equivalence(2), 256, 7, "key (0,0;0,0): b1 vs 1"),
+    (verify_golden_table, 68, 2, "contradictory key present: (0, 0, 3, 3)"),
+]
+
+
+@pytest.mark.parametrize("verifier, cases, count, first", EMPTY_VERTEX_AS_B1,
+                         ids=["stochastic", "color-ignorance", "mod2-erasure", "sampler-law",
+                              "modified-min", "golden-table"])
+def test_verifier_sees_a_wrong_one_color_weight(verifier, cases, count, first, mutate_l1):
+    assert verifier().passed
+    mutate_l1((0, 0, 0, 0), B1)
+    rep = verifier()
+    assert (rep.passed, rep.cases, len(rep.violations)) == (False, cases, count)
+    assert rep.violations[0] == first

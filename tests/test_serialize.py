@@ -210,3 +210,33 @@ def test_svg_bytes_are_pinned():
     }
     for name, svg in got.items():
         assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[name], name
+
+
+def _json_doc():
+    doc = ensemble_to_json(sample_cs6v(5, 4, FIELD, 1))
+    doc["colors"] = [{"color": 1, "v": [[1, 1]], "h": [[5, 4]], "left": [4], "bottom": [5]}]
+    return doc
+
+
+@pytest.mark.parametrize("key, value", [
+    ("v", [[0, 1]]), ("v", [[6, 1]]), ("v", [[1, 0]]), ("h", [[1, 5]]), ("h", [[-1, 2]]),
+    ("left", [0]), ("left", [5]), ("bottom", [0]), ("bottom", [6]),
+    ("color", 0), ("color", 2), ("color", 3), ("v", [[1.0, 1]]), ("color", True),
+])
+def test_json_parser_rejects_out_of_range_input(key, value):
+    doc = _json_doc()
+    ensemble_from_json(doc)
+    doc["colors"][0][key] = value
+    with pytest.raises(ValueError, match="outside 1.."):
+        ensemble_from_json(doc)
+
+
+@pytest.mark.parametrize("text, extents", [
+    ("0 2\n", {}), ("2 0\n", {}), ("-1 1\n", {}), ("1 2\n7 1\n", {"width": 6, "height": 5}),
+    ("1 6\n", {"width": 6, "height": 5}), ("0 0\n", {"width": 6, "height": 5}),
+])
+def test_pointset_parser_rejects_out_of_range_points(text, extents, tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="outside 1.."):
+        read_pointset(path, **extents)
