@@ -283,13 +283,9 @@ def partition_projection(bits: int, cuts: tuple[int, ...], n: int) -> int:
 # ---------------------------------------------------------------------------
 # Exhaustive verifiers
 
-_ROW_FAMILIES = (
-    (ONE.code,),
-    tuple(sorted((B1.code, ONE_MINUS_B1.code))),
-    tuple(sorted((B2.code, ONE_MINUS_B2.code))),
-    tuple(sorted((B1_B2.code, B1_ONE_MINUS_B2.code,
-                  ONE_MINUS_B1_B2.code, ONE_MINUS_B1_ONE_MINUS_B2.code))),
-)
+# The partitions of unity that a stochastic row's nonzero weights may form.
+_ROW_FAMILIES = ((ONE,), (B1, ONE_MINUS_B1), (B2, ONE_MINUS_B2),
+                 (B1_B2, B1_ONE_MINUS_B2, ONE_MINUS_B1_B2, ONE_MINUS_B1_ONE_MINUS_B2))
 
 
 def _exact_misses(vals: np.ndarray, want) -> np.ndarray:
@@ -319,7 +315,7 @@ def verify_stochastic(n: int, grid=DEFAULT_GRID) -> VerificationReport:
     size = 1 << n
     rows = _key_codes(n).reshape(size * size, -1)  # row i * size + j
     # at most 4 nonzero codes, which sorted end the row as one family does
-    families = np.array([(0,) * (4 - len(f)) + f for f in _ROW_FAMILIES])
+    families = np.array([sorted([0] * (4 - len(f)) + [w.code for w in f]) for f in _ROW_FAMILIES])
     unity = (np.count_nonzero(rows, axis=1) <= 4) & \
         (np.sort(rows, axis=1)[:, None, -4:] == families).all(axis=2).any(axis=1)
     negative = np.zeros((len(grid), len(rows)), dtype=bool)
@@ -406,18 +402,23 @@ def verify_sampler_matrix(n: int, grid=DEFAULT_GRID) -> VerificationReport:
         raise ValueError("sampler-law comparison limited to n <= 3")
     rep = VerificationReport(f"sampler law n={n}")
     size = 1 << n
-    for i in range(size):
-        for j in range(size):
-            for b1, b2 in grid:
-                law = coin_law(i, j, n, b1, b2)
-                dist = ln_distribution(i, j, n, b1, b2).as_dict()
-                for key in set(law) | set(dist):
-                    rep.cases += 1
-                    if abs(law.get(key, 0.0) - dist.get(key, 0.0)) > VERIFY_TOL:
-                        rep.fail(
-                            f"law mismatch i={format_colors(i, n)} j={format_colors(j, n)} "
-                            f"outcome={key} at ({b1},{b2}): "
-                            f"{law.get(key, 0.0)!r} vs {dist.get(key, 0.0)!r}")
+    codes = _key_codes(n).reshape(size, size, -1)  # output (k, l) at k * size + l
+    bad = np.zeros((size, size, len(grid)), dtype=bool)
+    for g, (b1, b2) in enumerate(grid):
+        dist, law = np.array(weights.eval_table(b1, b2))[codes], np.zeros(codes.shape)
+        for cross, nuc in itertools.product((0, 1), repeat=2):  # coin_law's order
+            hit = outcome_table(n)[:, :, cross, nuc, None] == np.arange(size * size)
+            law += (b1 if cross else 1.0 - b1) * ((1.0 - b2) if nuc else b2) * hit
+        rep.cases += int(((law > 0.0) | (codes != 0)).sum())  # outcomes of either law
+        bad[:, :, g] = (np.abs(law - dist) > VERIFY_TOL).any(axis=2)
+    for i, j, g in np.argwhere(bad).tolist():
+        b1, b2 = grid[g]
+        law_ij, dist_ij = coin_law(i, j, n, b1, b2), ln_distribution(i, j, n, b1, b2).as_dict()
+        for key in set(law_ij) | set(dist_ij):
+            if abs(law_ij.get(key, 0.0) - dist_ij.get(key, 0.0)) > VERIFY_TOL:
+                rep.fail(f"law mismatch i={format_colors(i, n)} j={format_colors(j, n)} "
+                         f"outcome={key} at ({b1},{b2}): "
+                         f"{law_ij.get(key, 0.0)!r} vs {dist_ij.get(key, 0.0)!r}")
     return rep
 
 
