@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,13 @@ class ParameterField:
         """Parameters of vertex (x, y), 1-based."""
         a, b = (x - 1) % self.I, (y - 1) % self.J
         return float(self.b1[a, b]), float(self.b2[a, b])
+
+    @cached_property
+    def _thresholds(self):
+        """rng.threshold of (b1, b2) per entry, shape (I, J, 2), and the mask of
+        entries equal to 1 (None where no entry is 1), for the integer coins."""
+        b = np.stack((self.b1, self.b2), axis=-1)
+        return rng.threshold(b), (b == 1) if (b == 1).any() else None
 
     def rows(self, y: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Parameter arrays for columns 1..width of row y."""
@@ -169,12 +177,23 @@ def _packed(bits: np.ndarray) -> int:
 def _coin_rows(width: int, height: int, field: ParameterField, seed: int,
                replica: int):
     """Yield the packed (cross, nucleate) coin words u1 < b1, u2 >= b2 of rows
-    1..height; the field's J distinct parameter rows are computed once."""
-    params = [field.rows(y, width) for y in range(1, min(field.J, height) + 1)]
+    1..height, read off the raw Philox words (rng.row_words) without making a
+    double: w < T on both words against the field's pre-shifted thresholds
+    (rng.threshold, computed once per field) gives cross and the complement
+    of nucleate.  A threshold saturated at b = 1 misses the word 2**64 - 1,
+    so those columns are forced to cross and never to nucleate.  The field's
+    J distinct parameter rows are gathered once per call."""
+    thresholds, ones = field._thresholds
+    a, mask, nbytes = np.arange(width) % field.I, (1 << width) - 1, (width + 7) // 8
+    params = [(thresholds[a, b], 0, mask) if ones is None else
+              (thresholds[a, b], _packed(ones[a, b, 0]), mask & ~_packed(ones[a, b, 1]))
+              for b in range(min(field.J, height))]
     for y in range(1, height + 1):
-        u1, u2 = rng.row_uniforms(seed, replica, y, width)
-        b1r, b2r = params[(y - 1) % field.J]
-        yield _packed(u1 < b1r), _packed(u2 >= b2r)
+        t, sure, keep = params[(y - 1) % field.J]
+        below = rng.row_words(seed, replica, y, width) < t  # (width, 2): cross, no nucleation
+        packed = np.packbits(np.ascontiguousarray(below.T), axis=1, bitorder="little").tobytes()
+        yield (int.from_bytes(packed[:nbytes], "little") | sure,
+               keep & ~int.from_bytes(packed[nbytes:], "little"))
 
 
 def _carry_rows(width: int, coins, south: int = 0, west: int = 0):

@@ -140,9 +140,10 @@ def _key_codes(n: int) -> np.ndarray:
 
 def ln_weight(i: int, j: int, k: int, l: int, n: int) -> Weight:
     """n-color vertex weight: the product over levels r of the single-color
-    weight of the r-fold projections of (i, j; k, l)."""
+    weight of the r-fold projections of (i, j; k, l).  For n <= 4 the code is
+    read from the cached table of all keys, which the same fold builds."""
     _check_key(n, i, j, k, l)
-    return weights.W[_ln_code(i, j, k, l, n)]
+    return weights.W[_key_codes(n)[i, j, k, l] if n <= 4 else _ln_code(i, j, k, l, n)]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,22 @@
 """Counter-based per-cell randomness.
 
-Every lattice cell (x, y) of every replica owns two uniforms: u1 drives the
-cross/continue coin (b1 axis) and u2 drives the nucleation/pass coin (b2
+Every lattice cell (x, y) of every replica owns two 64-bit Philox words: w1
+drives the cross/continue coin (b1 axis) and w2 the nucleation/pass coin (b2
 axis).  The stream is keyed by (seed, replica) and countered by the row
 index, so draws depend only on the cell address: any traversal order,
 chunking, or worker count reproduces identical samples, and different models
 run with the same seed are coupled cell by cell.
+
+A word w stands for the uniform u = (w >> 11) * 2**-53, the double numpy's
+Generator.random makes of it (row_uniforms and cell_uniforms return those
+doubles).  The samplers decide their coins on the words, exactly: for b in
+[0, 1], m = w >> 11 is an integer below 2**53 and b * 2**53 is exact (a
+power-of-two scaling), so u < b holds iff m < t for t = ceil(b * 2**53), i.e.
+iff w < t * 2**11, and u >= b iff not.  That pre-shifted threshold fits 64
+bits for every b < 1; at b = 0 it is 0, so u < b never holds and u >= b
+always does.  At b = 1 it would be 2**64, so threshold() saturates it at
+2**64 - 1, and the callers force u < 1 true themselves: the saturated compare
+alone would miss the word 2**64 - 1.
 """
 
 from __future__ import annotations
@@ -15,40 +26,59 @@ import numpy as np
 #: Largest seed or replica index: each is one 64-bit word of the Philox key.
 MAX_SEED = (1 << 64) - 1
 
-# One generator serves every row: Philox is counter-based, so resetting its
-# key, counter and output buffer reproduces a freshly built stream exactly.
-# The reset and the draw are two steps on shared state, so row_uniforms must
-# not run in several threads of one process at once (worker processes are fine).
+# One bit generator serves every row: Philox is counter-based, so resetting
+# its key, counter and output buffer reproduces a freshly built stream
+# exactly.  The reset and the draw are two steps on shared state, so the draws
+# must not run in several threads of one process at once (worker processes
+# are fine).
 _BITGEN = np.random.Philox(0)
-_GEN = np.random.Generator(_BITGEN)
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
-def row_uniforms(seed: int, replica: int, row: int, width: int):
-    """Uniform arrays (u1, u2), each of length width, for one lattice row.
-
-    The row stream is consumed two doubles per cell, so column x (1-based)
-    always sees the same pair (u1[x-1], u2[x-1]) no matter how wide the row
-    was sampled.
-    """
-    if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED) or row < 1 or width < 1:
-        raise ValueError("need seed and replica in 0..MAX_SEED, row >= 1, width >= 1")
-    _BITGEN.state = {
+def _draw(seed: int, replica: int, row: int, block: int, count: int) -> np.ndarray:
+    """count raw words of the row's stream, from its 4-word block `block` on."""
+    if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED) or row < 1 \
+            or block < 0 or count < 1:
+        raise ValueError("need seed and replica in 0..MAX_SEED, row >= 1, "
+                         "column or width >= 1")
+    _BITGEN.state = {  # plain ints: the setter reads them item by item
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, row, 0], dtype=np.uint64),
-            "key": np.array([seed, replica], dtype=np.uint64),
-        },
-        "buffer": _EMPTY_BUFFER,
+        "state": {"counter": (block, 0, row, 0), "key": (seed, replica)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    r = _GEN.random(2 * width)
-    return r[0::2], r[1::2]
+    return _BITGEN.random_raw(count)
+
+
+def row_words(seed: int, replica: int, row: int, width: int) -> np.ndarray:
+    """The raw Philox words of one lattice row: uint64, shape (width, 2).
+
+    Row x-1 holds column x's pair (w1, w2); the stream is consumed two words
+    per cell, so a column sees the same pair however wide the row is drawn.
+    """
+    return _draw(seed, replica, row, 0, 2 * width).reshape(width, 2)
+
+
+def row_uniforms(seed: int, replica: int, row: int, width: int):
+    """Uniform arrays (u1, u2), each of length width, for one lattice row:
+    the doubles of row_words, bit for bit those of Generator.random."""
+    u = (row_words(seed, replica, row, width) >> 11) * 2.0**-53
+    return u[:, 0], u[:, 1]
 
 
 def cell_uniforms(seed: int, replica: int, x: int, y: int) -> tuple[float, float]:
-    """The two uniforms owned by a single cell; matches row_uniforms column x."""
-    u1, u2 = row_uniforms(seed, replica, y, x)
-    return float(u1[x - 1]), float(u2[x - 1])
+    """The two uniforms owned by a single cell; matches row_uniforms column x.
+
+    Only the cell's own 4-word Philox block is drawn: cell x holds words
+    2(x-1) and 2(x-1)+1 of its row, in block (x-1)//2.
+    """
+    w = _draw(seed, replica, y, (x - 1) // 2, 4)[2 * ((x - 1) % 2):] >> 11
+    return float(w[0]) * 2.0**-53, float(w[1]) * 2.0**-53
+
+
+def threshold(b) -> np.ndarray:
+    """Pre-shifted integer thresholds ceil(b * 2**53) * 2**11 (uint64) of the
+    coins u < b, saturated at 2**64 - 1 where b = 1; see the module docstring."""
+    t = np.ceil(np.asarray(b, dtype=np.float64) * 2.0**53).astype(np.uint64)
+    return np.where(t < 1 << 53, t << np.uint64(11), np.uint64(2**64 - 1))

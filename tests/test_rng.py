@@ -1,11 +1,17 @@
-"""Counter-based per-cell uniforms."""
+"""Counter-based per-cell randomness and the integer coins read off it."""
 
+import contextlib
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sixvertex import convergence_experiment, make_field, rng, sample_pointset
+from sixvertex.degenerations import _point_rows
+from sixvertex.lattice import _coin_rows
 
 
 def _fresh(seed, replica, row, width):
@@ -30,10 +36,28 @@ def test_row_uniforms_match_a_freshly_built_generator():
 
 
 def test_cell_uniforms_match_row_uniforms():
-    u1, u2 = rng.row_uniforms(3, 1, 7, 12)
-    for x in (1, 5, 12):
-        assert rng.cell_uniforms(3, 1, x, 7) == (u1[x - 1], u2[x - 1])
+    # a cell draws only its own 4-word block: cells x = 2m+1 and 2m+2 share
+    # block m, so these columns cover both offsets and both block parities
+    for seed in (0, 7, 2**64 - 1):
+        for replica in (0, 3):
+            for y in (1, 2, 50):
+                u1, u2 = rng.row_uniforms(seed, replica, y, 1000)
+                for x in (1, 2, 3, 4, 5, 999, 1000):
+                    assert rng.cell_uniforms(seed, replica, x, y) == (u1[x - 1], u2[x - 1])
+    u1, _ = rng.row_uniforms(3, 1, 7, 12)
     assert rng.row_uniforms(3, 1, 7, 5)[0].tolist() == u1[:5].tolist()
+
+
+def test_cell_uniforms_memory_does_not_grow_with_the_column():
+    rng.cell_uniforms(1, 0, 3, 2)  # first-call allocations are not the cell's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rng.cell_uniforms(1, 0, 10**6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024, peak
 
 
 def test_row_uniforms_rejects_bad_addresses():
@@ -42,32 +66,69 @@ def test_row_uniforms_rejects_bad_addresses():
                  (2**64, 0, 1, 1), (1 + 2**64, 0, 1, 1), (0, 2**64, 1, 1)):
         with pytest.raises(ValueError):
             rng.row_uniforms(*args)
+    with pytest.raises(ValueError):
+        rng.cell_uniforms(0, 0, 0, 1)
 
 
-# SHA-256 of data outputs at seeds 1 and 3, taken before the samplers moved
-# from uniform doubles to integer thresholds on the raw words; the field has
-# b = 0 and b = 1 entries on both axes.
-PINNED = {
-    (1, "s6v"): "41f47522dd2e930133c2733f74bfb3d182523d2bb9aa3016ba342fb30b76a361",
-    (1, "cs6v"): "db79e3d5f7a596e2c850cd0c002d971146d83d3b45899aa1eaba5b9b5e686501",
-    (1, "hammersley"): "157ad819c764879e502ac42916a5803b0a092b6f7fa40857471847a0773a796f",
-    (1, "pointset"): "7746ea417e8d2db9e83b379f12baf1183a9ef7aa2a42218e7623a404c2663e1b",
-    (3, "s6v"): "a6f3a275b79e2bb82a5d824f876da1424678b0120e6d5b4a482998ae252898b7",
-    (3, "cs6v"): "4be7f4140ead761d2b2efc7a4c7d54646d3b8a4fa0282d148ca7477ec586d65d",
-    (3, "hammersley"): "49f0ff2684f3f1072adaf404ae69a554730a0968ea60a1f2dcb42ce069ef3f19",
-    (3, "pointset"): "86b722a6ae50c396794aae4e68861f9f62b795a8c8ec18923c155193745b89e8",
-}
+# ---------------------------------------------------------------------------
+# Integer coins: a word w stands for u = (w >> 11) * 2**-53, and the samplers
+# decide u < b (cross) and u >= b (nucleation, points) on w alone.
+
+_EDGES = [0.0, 1.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 0.3, 0.7]
+EDGE_PARAMETERS = sorted({v for b in _EDGES
+                          for v in (b, np.nextafter(b, -1.0), np.nextafter(b, 2.0))
+                          if 0.0 <= v <= 1.0})
 
 
-@pytest.mark.parametrize("seed", (1, 3))
-def test_coin_outputs_are_pinned(seed):
-    field = make_field([[0.3, 0.0, 1.0], [0.5, 1.0, 0.2]], [[0.7, 1.0, 0.0], [0.0, 0.4, 1.0]])
-    got = {}
-    for model in ("s6v", "cs6v"):
-        ratios = convergence_experiment((1, 1), field, [12, 30, 60], 3, seed, model).ratios
-        got[seed, model] = ratios.tobytes()
-    got[seed, "hammersley"] = convergence_experiment(
-        (1, 1), make_field(0.0, 0.75), [50, 100], 3, seed, "hammersley").ratios.tobytes()
-    got[seed, "pointset"] = sample_pointset(61, 47, 0.25, seed, replica=1).grid.tobytes()
-    for key, data in got.items():
-        assert hashlib.sha256(data).hexdigest() == PINNED[key], key
+def _words_around(b, low_bits):
+    """Words at and next to the coin's edge t * 2**11, t = ceil(b * 2**53),
+    and words with the given low bits at the 53-bit values t - 1 and t."""
+    edge = math.ceil(b * 2**53) << 11
+    words = {0, 2**64 - 1, edge - 1, edge, edge + 1}
+    words |= {(m << 11) | r for m in ((edge >> 11) - 1, edge >> 11) for r in low_bits}
+    return np.array(sorted(w for w in words if 0 <= w < 2**64), dtype=np.uint64)
+
+
+def _uniform(w):
+    return float(int(w) >> 11) * 2.0**-53
+
+
+def _bits(word, width):
+    return [word >> x & 1 for x in range(width)]
+
+
+@contextlib.contextmanager
+def _patched_words(words):
+    """A context in which every row draw returns `words` on both coins."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "row_words", lambda seed, replica, row, width:
+                   np.stack((words, words), axis=1))
+        yield
+
+
+def _check_lattice_coins(b, low_bits):
+    words = _words_around(b, low_bits)
+    with _patched_words(words):
+        (cross, nucleate), = _coin_rows(len(words), 1, make_field(b, b), 1, 0)
+    assert _bits(cross, len(words)) == [_uniform(w) < b for w in words]
+    assert _bits(nucleate, len(words)) == [_uniform(w) >= b for w in words]
+
+
+def _check_point_coins(p, low_bits):
+    # the point coin thresholds the double 1.0 - p, a multiple of 2**-53
+    words = _words_around(1.0 - p, low_bits)
+    with _patched_words(words):
+        points, = _point_rows(len(words), 1, p, 1, 0)
+    assert points.tolist() == [_uniform(w) >= 1.0 - p for w in words]
+
+
+@pytest.mark.parametrize("b", EDGE_PARAMETERS)
+def test_integer_coins_at_edge_parameters(b):
+    _check_lattice_coins(b, (0, 1, 2**10, 2**11 - 1))
+    _check_point_coins(b, (0, 1, 2**10, 2**11 - 1))
+
+
+@given(st.floats(0.0, 1.0), st.lists(st.integers(0, 2**11 - 1), max_size=4))
+def test_integer_coins_equal_the_uniform_comparison(b, low_bits):
+    _check_lattice_coins(b, low_bits)
+    _check_point_coins(b, low_bits)
