@@ -26,20 +26,19 @@ import numpy as np
 #: Largest seed or replica index: each is one 64-bit word of the Philox key.
 MAX_SEED = (1 << 64) - 1
 
-# One bit generator serves every row: Philox is counter-based, so resetting
-# its key, counter and output buffer reproduces a freshly built stream
-# exactly.  The reset and the draw are two steps on shared state, so the draws
-# must not run in several threads of one process at once (worker processes
-# are fine).
+# One bit generator serves every row: Philox is counter-based, so resetting its
+# key, counter and output buffer reproduces a freshly built stream exactly.
+# The reset and the draw are two steps on shared state, so no two threads of
+# one process may draw at once (worker processes are fine).
 _BITGEN = np.random.Philox(0)
 
 
 def _draw(seed: int, replica: int, row: int, block: int, count: int) -> np.ndarray:
     """count raw words of the row's stream, from its 4-word block `block` on."""
-    if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED) or row < 1 \
-            or block < 0 or count < 1:
-        raise ValueError("need seed and replica in 0..MAX_SEED, row >= 1, "
-                         "column or width >= 1")
+    if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED and 1 <= row <= MAX_SEED
+            and 0 <= block <= MAX_SEED) or count < 1:  # each is one 64-bit word
+        raise ValueError("need seed and replica in 0..MAX_SEED, row in 1..MAX_SEED, "
+                         "column or width >= 1 and column < 2**65")
     _BITGEN.state = {  # plain ints: the setter reads them item by item
         "bit_generator": "Philox",
         "state": {"counter": (block, 0, row, 0), "key": (seed, replica)},

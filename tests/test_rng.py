@@ -63,11 +63,13 @@ def test_cell_uniforms_memory_does_not_grow_with_the_column():
 def test_row_uniforms_rejects_bad_addresses():
     # seeds and replicas are 64-bit key words: 2**64 must not alias 0
     for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0),
-                 (2**64, 0, 1, 1), (1 + 2**64, 0, 1, 1), (0, 2**64, 1, 1)):
+                 (2**64, 0, 1, 1), (1 + 2**64, 0, 1, 1), (0, 2**64, 1, 1), (0, 0, 2**64, 1)):
         with pytest.raises(ValueError):
             rng.row_uniforms(*args)
-    with pytest.raises(ValueError):
-        rng.cell_uniforms(0, 0, 0, 1)
+    for x, y in ((0, 1), (2**65 + 1, 1), (1, 2**64)):
+        with pytest.raises(ValueError):
+            rng.cell_uniforms(0, 0, x, y)
+    rng.cell_uniforms(0, 0, 2**65, 1)  # the row stream's last cell, block 2**64 - 1
 
 
 # ---------------------------------------------------------------------------
