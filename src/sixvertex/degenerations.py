@@ -55,12 +55,11 @@ class PointSet:
 def _point_rows(width: int, height: int, p: float, seed: int, replica: int):
     """Yield the Bernoulli(p) point indicators of rows 1..height: cell (x, y)
     holds a point iff its second uniform has u2 >= 1 - p, read off the raw
-    Philox word as w2 >= T for the pre-shifted threshold T of the double
-    1.0 - p (rng.threshold); where that double is 1, no cell holds a point."""
-    t, never = rng.threshold(1.0 - p), 1.0 - p == 1.0
+    Philox word as (w2 >> 11) >= t for the integer threshold t of the double
+    1.0 - p (rng.threshold)."""
+    t = rng.threshold(1.0 - p)
     for y in range(1, height + 1):
-        yield (np.zeros(width, dtype=bool) if never
-               else rng.row_words(seed, replica, y, width)[:, 1] >= t)
+        yield rng.row_words(seed, replica, y, width)[:, 1] >> 11 >= t
 
 
 def sample_pointset(width: int, height: int, p: float, seed: int,

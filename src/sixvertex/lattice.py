@@ -92,11 +92,10 @@ class ParameterField:
         return float(self.b1[a, b]), float(self.b2[a, b])
 
     @cached_property
-    def _thresholds(self):
-        """rng.threshold of (b1, b2) per entry, shape (I, J, 2), and the mask of
-        entries equal to 1 (None where no entry is 1), for the integer coins."""
-        b = np.stack((self.b1, self.b2), axis=-1)
-        return rng.threshold(b), (b == 1) if (b == 1).any() else None
+    def _thresholds(self) -> np.ndarray:
+        """rng.threshold of (b1, b2) per entry, shape (I, J, 2), for the
+        integer coins."""
+        return rng.threshold(np.stack((self.b1, self.b2), axis=-1))
 
     def rows(self, y: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Parameter arrays for columns 1..width of row y."""
@@ -178,22 +177,18 @@ def _coin_rows(width: int, height: int, field: ParameterField, seed: int,
                replica: int):
     """Yield the packed (cross, nucleate) coin words u1 < b1, u2 >= b2 of rows
     1..height, read off the raw Philox words (rng.row_words) without making a
-    double: w < T on both words against the field's pre-shifted thresholds
-    (rng.threshold, computed once per field) gives cross and the complement
-    of nucleate.  A threshold saturated at b = 1 misses the word 2**64 - 1,
-    so those columns are forced to cross and never to nucleate.  The field's
-    J distinct parameter rows are gathered once per call."""
-    thresholds, ones = field._thresholds
+    double: (w >> 11) < t on both words against the field's integer
+    thresholds (rng.threshold, computed once per field) gives cross and the
+    complement of nucleate, exactly for every b in [0, 1].  The field's J
+    distinct parameter rows are gathered once per call."""
     a, mask, nbytes = np.arange(width) % field.I, (1 << width) - 1, (width + 7) // 8
-    params = [(thresholds[a, b], 0, mask) if ones is None else
-              (thresholds[a, b], _packed(ones[a, b, 0]), mask & ~_packed(ones[a, b, 1]))
-              for b in range(min(field.J, height))]
+    params = [field._thresholds[a, b] for b in range(min(field.J, height))]
     for y in range(1, height + 1):
-        t, sure, keep = params[(y - 1) % field.J]
-        below = rng.row_words(seed, replica, y, width) < t  # (width, 2): cross, no nucleation
+        words = rng.row_words(seed, replica, y, width)
+        below = np.right_shift(words, 11, out=words) < params[(y - 1) % field.J]
         packed = np.packbits(np.ascontiguousarray(below.T), axis=1, bitorder="little").tobytes()
-        yield (int.from_bytes(packed[:nbytes], "little") | sure,
-               keep & ~int.from_bytes(packed[nbytes:], "little"))
+        yield (int.from_bytes(packed[:nbytes], "little"),
+               mask & ~int.from_bytes(packed[nbytes:], "little"))
 
 
 def _carry_rows(width: int, coins, south: int = 0, west: int = 0):

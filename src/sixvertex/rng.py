@@ -11,12 +11,10 @@ A word w stands for the uniform u = (w >> 11) * 2**-53, the double numpy's
 Generator.random makes of it (row_uniforms and cell_uniforms return those
 doubles).  The samplers decide their coins on the words, exactly: for b in
 [0, 1], m = w >> 11 is an integer below 2**53 and b * 2**53 is exact (a
-power-of-two scaling), so u < b holds iff m < t for t = ceil(b * 2**53), i.e.
-iff w < t * 2**11, and u >= b iff not.  That pre-shifted threshold fits 64
-bits for every b < 1; at b = 0 it is 0, so u < b never holds and u >= b
-always does.  At b = 1 it would be 2**64, so threshold() saturates it at
-2**64 - 1, and the callers force u < 1 true themselves: the saturated compare
-alone would miss the word 2**64 - 1.
+power-of-two scaling), so u < b holds iff m < t for t = ceil(b * 2**53), and
+u >= b iff not.  The threshold t lies in 0..2**53 and fits 64 bits: at b = 0
+it is 0, so u < b never holds and u >= b always does; at b = 1 it is 2**53,
+above every m, so u < b always holds and u >= b never does.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ def _draw(seed: int, replica: int, row: int, block: int, count: int) -> np.ndarr
     if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED and 1 <= row <= MAX_SEED
             and 0 <= block <= MAX_SEED) or count < 1:  # each is one 64-bit word
         raise ValueError("need seed and replica in 0..MAX_SEED, row in 1..MAX_SEED, "
-                         "column or width >= 1 and column < 2**65")
+                         "width >= 1 and column in 1..2**65")
     _BITGEN.state = {  # plain ints: the setter reads them item by item
         "bit_generator": "Philox",
         "state": {"counter": (block, 0, row, 0), "key": (seed, replica)},
@@ -77,7 +75,6 @@ def cell_uniforms(seed: int, replica: int, x: int, y: int) -> tuple[float, float
 
 
 def threshold(b) -> np.ndarray:
-    """Pre-shifted integer thresholds ceil(b * 2**53) * 2**11 (uint64) of the
-    coins u < b, saturated at 2**64 - 1 where b = 1; see the module docstring."""
-    t = np.ceil(np.asarray(b, dtype=np.float64) * 2.0**53).astype(np.uint64)
-    return np.where(t < 1 << 53, t << np.uint64(11), np.uint64(2**64 - 1))
+    """Integer thresholds ceil(b * 2**53) (uint64) of the coins u < b: u < b
+    iff (w >> 11) < threshold(b); see the module docstring."""
+    return np.ceil(np.asarray(b, dtype=np.float64) * 2.0**53).astype(np.uint64)

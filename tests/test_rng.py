@@ -72,6 +72,35 @@ def test_row_uniforms_rejects_bad_addresses():
     rng.cell_uniforms(0, 0, 2**65, 1)  # the row stream's last cell, block 2**64 - 1
 
 
+# SHA-256 of data outputs at seeds 1 and 3, taken before the samplers moved
+# from uniform doubles to integer thresholds on the raw words; the field has
+# b = 0 and b = 1 entries on both axes.
+PINNED = {
+    (1, "s6v"): "41f47522dd2e930133c2733f74bfb3d182523d2bb9aa3016ba342fb30b76a361",
+    (1, "cs6v"): "db79e3d5f7a596e2c850cd0c002d971146d83d3b45899aa1eaba5b9b5e686501",
+    (1, "hammersley"): "157ad819c764879e502ac42916a5803b0a092b6f7fa40857471847a0773a796f",
+    (1, "pointset"): "7746ea417e8d2db9e83b379f12baf1183a9ef7aa2a42218e7623a404c2663e1b",
+    (3, "s6v"): "a6f3a275b79e2bb82a5d824f876da1424678b0120e6d5b4a482998ae252898b7",
+    (3, "cs6v"): "4be7f4140ead761d2b2efc7a4c7d54646d3b8a4fa0282d148ca7477ec586d65d",
+    (3, "hammersley"): "49f0ff2684f3f1072adaf404ae69a554730a0968ea60a1f2dcb42ce069ef3f19",
+    (3, "pointset"): "86b722a6ae50c396794aae4e68861f9f62b795a8c8ec18923c155193745b89e8",
+}
+
+
+@pytest.mark.parametrize("seed", (1, 3))
+def test_coin_outputs_are_pinned(seed):
+    field = make_field([[0.3, 0.0, 1.0], [0.5, 1.0, 0.2]], [[0.7, 1.0, 0.0], [0.0, 0.4, 1.0]])
+    got = {}
+    for model in ("s6v", "cs6v"):
+        ratios = convergence_experiment((1, 1), field, [12, 30, 60], 3, seed, model).ratios
+        got[seed, model] = ratios.tobytes()
+    got[seed, "hammersley"] = convergence_experiment(
+        (1, 1), make_field(0.0, 0.75), [50, 100], 3, seed, "hammersley").ratios.tobytes()
+    got[seed, "pointset"] = sample_pointset(61, 47, 0.25, seed, replica=1).grid.tobytes()
+    for key, data in got.items():
+        assert hashlib.sha256(data).hexdigest() == PINNED[key], key
+
+
 # ---------------------------------------------------------------------------
 # Integer coins: a word w stands for u = (w >> 11) * 2**-53, and the samplers
 # decide u < b (cross) and u >= b (nucleation, points) on w alone.
