@@ -147,6 +147,22 @@ def test_ergodic_hypotheses_quick():
     assert "shift_ks_pvalue" in rep.details or rep.details
 
 
+# KS p-values of `verify --seed 1` (b1 = 0.3, b2 = 0.7) as float.hex, pinned
+# from the scipy.stats.ks_2samp(method="asymp") implementation.
+KS_PINS = {
+    20: ("0x1.e86e22c856f17p-1", "0x1.ffd06fc489068p-1"),
+    150: ("0x1.62bde6cc6289ep-1", "0x1.ffffff754a5f3p-1"),
+    500: ("0x1.ffc480a852388p-1", "0x1.b2e98f6b20fdep-1"),
+}
+
+
+@pytest.mark.parametrize("replicas", sorted(KS_PINS))
+def test_ergodic_ks_pvalues_are_pinned(replicas):
+    rep = verify_ergodic_hypotheses((1, 1), HOMOG, 2, replicas, 1)
+    got = (rep.details["ks_p_shift_k"].hex(), rep.details["ks_p_shift_1"].hex())
+    assert got == KS_PINS[replicas]
+
+
 # ---------------------------------------------------------------------------
 # Convergence experiments
 
