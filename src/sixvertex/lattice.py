@@ -493,7 +493,7 @@ def admissibility_violations(e: PathEnsemble, scheme: "ColoringScheme | None" = 
         shells = np.minimum(scheme.block(np.arange(1, e.width + 1)[:, None],
                                          np.arange(1, e.height + 1)), e.n_colors)
     kind = np.zeros(k.shape, dtype=np.int8)  # 1: later-shell color, 2: unsupported key
-    for n in np.unique(shells).tolist():
+    for n in np.flatnonzero(np.bincount(shells.ravel())).tolist():  # np.unique loads numpy.ma
         at = shells == n
         shift = e.n_colors - n
         code = _ln_code(i[at] >> shift, (j[at] >> shift) ^ flip, k[at] >> shift,

@@ -8,7 +8,6 @@ its own (seed, replica) key, so the worker count never changes any output.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 WORKERS_ENV = "SIXVERTEX_WORKERS"
 
@@ -32,5 +31,6 @@ def run_tasks(fn, args_list, workers: int = 1) -> list:
     args_list = list(args_list)
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # ~25 ms, only when a pool starts
     with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as ex:
         return list(ex.map(fn, args_list))

@@ -144,11 +144,20 @@ def test_superadditivity_rational_direction():
 def test_ergodic_hypotheses_quick():
     rep = verify_ergodic_hypotheses((1, 1), HOMOG, 2, 120, 0)
     assert rep.passed, rep.summary()
-    assert "shift_ks_pvalue" in rep.details or rep.details
+    for key in ("ks_p_shift_k", "ks_p_shift_1"):
+        assert 0.0 <= rep.details[key] <= 1.0, key
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_ergodic_hypotheses_reject_fewer_than_two_replicas(replicas):
+    # one replica per side rounds the KS sample size to 0: p would be NaN,
+    # the check would pass and the report would hold invalid JSON
+    with pytest.raises(ValueError, match="replicas >= 2"):
+        verify_ergodic_hypotheses((1, 1), HOMOG, 2, replicas, 1)
 
 
 # KS p-values of `verify --seed 1` (b1 = 0.3, b2 = 0.7) as float.hex, pinned
-# from the scipy.stats.ks_2samp(method="asymp") implementation.
+# when the check still called scipy.stats.ks_2samp(method="asymp").
 KS_PINS = {
     20: ("0x1.e86e22c856f17p-1", "0x1.ffd06fc489068p-1"),
     150: ("0x1.62bde6cc6289ep-1", "0x1.ffffff754a5f3p-1"),
