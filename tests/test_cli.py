@@ -1,5 +1,6 @@
 """Command line interface: subcommands, config layering, and determinism."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -411,3 +412,31 @@ def test_verify_battery_shape_is_pinned(tmp_path, capsys):
     assert doc["passed"] is True
     assert [(c["name"], c["cases"]) for c in doc["checks"]] == BATTERY_SHAPE
     assert sum(c["cases"] for c in doc["checks"]) == 212_715
+
+
+# SHA-256 of the verify report's checks array (json.dumps of the parsed
+# list) and of stdout, pinned before the monotonicity trials were run as
+# lanes of one sweep: (argv after the seed, seed) -> (checks, stdout).
+BATTERY_ARGV = ("--n", "4", "--trials", "2000", "--max-size", "16", "--replicas", "500")
+BATTERY_STDOUT = "675736de3ae4d484b974b14e3ac6e0cc9771fc6c827ee03add9c67813e2e377c"
+VERIFY_PINS = [
+    (BATTERY_ARGV, 1, "1bf2a9d2d4dfce0bfe872512656aaf50c7e68e9722c492e5f273b02133951f9e",
+     BATTERY_STDOUT),
+    (BATTERY_ARGV, 2, "013018e5e6aff2abb8dde557c8f0e1d694393cfa87c90b7fe7c8f2eb46e83077",
+     BATTERY_STDOUT),
+    (BATTERY_ARGV, 3, "e31461215cb113689488c6addccf686a3987bcfc7364bbaf293b7fee041565ca",
+     BATTERY_STDOUT),
+    ((), 1, "1076ae459eaef9470e14f5e3aef849194d4f8190bd0b7190a1657ad462719291",
+     "59181b8243ea0c683667a7ee8171f0dc087a20bb6e45387ef029f5d49e17a3a5"),
+]
+
+
+@pytest.mark.parametrize("argv, seed, checks_sha, stdout_sha", VERIFY_PINS)
+def test_verify_report_and_stdout_are_pinned(argv, seed, checks_sha, stdout_sha,
+                                             tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--seed", str(seed), *argv, "--out", str(report)]) == 0
+    out = capsys.readouterr().out
+    checks = json.loads(report.read_text())["checks"]
+    assert hashlib.sha256(json.dumps(checks).encode()).hexdigest() == checks_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
