@@ -44,6 +44,7 @@ level product.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,18 +192,18 @@ def _coin_rows(width: int, height: int, field: ParameterField, seed: int,
                mask & ~int.from_bytes(packed[nbytes:], "little"))
 
 
-def _carry_rows(width: int, coins, south: int = 0, west: int = 0):
+def _carry_rows(mask: int, coins, south: int = 0, west=0):
     """Yield the (north, east) words of the complemented rule, one row per
     packed (cross, nucleate) coin pair; see the module docstring for the
-    carry scan.  south is the word entering row 1 from below, and bit y-1 of
-    west the boundary line entering row y, added as the carry into column 1."""
-    mask = (1 << width) - 1
+    carry scan.  mask has the swept columns' bits, and nucleate none other; a
+    bit outside mask kills the carry.  south is the word entering row 1 from
+    below, and west yields each row's carry-in word (0: none): the boundary
+    line entering a box's column 1 sits at that column's bit."""
     s = south
-    for cross, nucleate in coins:
+    for (cross, nucleate), cin in zip(coins, west or itertools.repeat(0)):
         g = ~s & nucleate  # generate: an empty vertex nucleates
         a = ~(s & ~cross) & mask  # generate or propagate: all but kill
-        carries = (a + g + (west & 1)) ^ a ^ g  # bit x-1: the line entering column x
-        west >>= 1
+        carries = (a + g + cin) ^ a ^ g  # the line entering each column
         w = carries & mask
         s = (s & (~w | cross)) | (~s & ~w & nucleate)
         yield s, carries >> 1
@@ -422,8 +423,9 @@ def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
         window = mask >> x0 << x0
         level_coins = ((cross, nucleate & window if y > y0 else 0)
                        for y, (cross, nucleate) in enumerate(coins, start=1))
-        entry = _packed((entries >> (L - 1)) & 1)
-        bits = _row_bits(width, height, _carry_rows(width, level_coins, entry & mask, entry >> width))
+        entry = (entries >> (L - 1)) & 1
+        bits = _row_bits(width, height, _carry_rows(mask, level_coins, _packed(entry[:width]),
+                                                    entry[width:].tolist()))
         if L == 1:
             words = bits.astype(dtype, copy=False)
         else:
@@ -510,6 +512,53 @@ def admissibility_violations(e: PathEnsemble, scheme: "ColoringScheme | None" = 
     return bad
 
 
+# Bits per lane-packed row word of the monotonicity trials.
+LANE_BITS = 1 << 15
+
+
+def _monotonicity_trials(trials: int, max_size: int, field: ParameterField, seed: int):
+    """Yield (w, h, H1, H2, first row whose line parity breaks or 0) per trial
+    of verify_monotonicity; see there for the lane layout."""
+    geom, stride = np.random.default_rng(seed), max_size + 1
+    lanes, cols = max(1, LANE_BITS // stride), np.arange(stride)
+    thr = np.zeros((field.J, stride, 2), dtype=np.uint64)  # guard bits are never swept
+    thr[:, 1:] = field._thresholds[cols[:-1] % field.I].transpose(1, 0, 2)
+    for t0 in range(0, trials, lanes):
+        n, ws, hs = min(lanes, trials - t0), [], []
+        left, bottom = np.zeros((2, n, stride), dtype=np.uint8)  # left[i, y]: row y's line
+        for i in range(n):  # the geometry stream, trial by trial
+            ws.append(int(geom.integers(1, max_size + 1)))
+            hs.append(int(geom.integers(1, max_size + 1)))
+            left[i, 1:hs[i] + 1] = geom.random(hs[i]) < 0.5
+            bottom[i, 1:ws[i] + 1] = geom.random(ws[i]) < 0.5
+        w, h = np.array(ws), np.array(hs)
+        mask = _packed((cols >= 1) & (cols <= w[:, None]))
+
+        def coins():
+            buf = np.zeros((n, stride, 2), dtype=np.uint64)
+            for y in range(1, max(hs) + 1):
+                for i in np.flatnonzero(h >= y).tolist():
+                    buf[i, 1:ws[i] + 1] = rng.row_words(seed, t0 + i, y, ws[i])
+                below = np.right_shift(buf, 11, out=buf) < thr[(y - 1) % field.J]
+                yield _packed(below[..., 0]), mask & ~_packed(below[..., 1])
+
+        c1, c2 = itertools.tee(coins())
+        west = (_packed(np.where(cols == 1, left[:, y, None], 0)) for y in range(1, max(hs) + 1))
+        rows = zip(_carry_rows(mask, c1), _carry_rows(mask, c2, _packed(bottom), west))
+        h1, h2, odd_row = np.zeros((3, n), dtype=np.int64)
+        south = bottom.sum(axis=1, dtype=np.int64)
+        for y, pair in enumerate(rows, start=1):
+            (north1, _), (north2, east2) = _row_bits(n * stride, 2, pair).reshape(2, 2, n, stride)
+            count2 = north2.sum(axis=1, dtype=np.int64)
+            odd = (south + count2 + left[:, y] + east2[np.arange(n), w]) & 1
+            odd_row[(odd_row == 0) & (odd == 1) & (h >= y)] = y
+            top = h == y
+            h1[top], h2[top] = north1[top].sum(axis=1), count2[top]
+            south = count2
+        h2 += left.sum(axis=1, dtype=np.int64)
+        yield from zip(ws, hs, h1.tolist(), h2.tolist(), odd_row.tolist())
+
+
 def verify_monotonicity(trials: int, max_size: int, field: ParameterField,
                         seed: int) -> VerificationReport:
     """Second-color boundary lines never lower the folded height below the
@@ -520,24 +569,22 @@ def verify_monotonicity(trials: int, max_size: int, field: ParameterField,
     loses a line on some row: lines are created and annihilated in pairs, so
     the south inputs plus the left line of a row equal its north outputs plus
     its east line mod 2.
+
+    The trials run as lanes of one Python int per row, LANE_BITS bits at a
+    time: lane i is a guard bit, then max_size column bits.  The sweep's mask
+    leaves out the guard bits and the columns past the trial's width, so no
+    line crosses between lanes; a trial's left boundary line enters as the
+    carry-in bit at its column 1.  Level 1 (color 1) and level 2 (the mod-2
+    fold, entered by the boundary lines) are swept row by row on trial t's
+    coins (replica t); H1 and H2 are lane popcounts of their top north words.
     """
+    if trials < 1 or max_size < 1:
+        raise ValueError("need trials >= 1 and max_size >= 1")
     rep = VerificationReport("boundary monotonicity")
-    geom = np.random.default_rng(seed)
-    for t in range(trials):
-        w = int(geom.integers(1, max_size + 1))
-        h = int(geom.integers(1, max_size + 1))
-        left = (geom.random(h) < 0.5).astype(np.uint8) * 2
-        bottom = (geom.random(w) < 0.5).astype(np.uint8) * 2
-        e = sample_two_colored_with_boundary(w, h, field, left, bottom, seed, replica=t)
-        folded = mod2_project(e)
-        h1 = int(height_H(select_color(e, 1))[w, h])
-        h2 = int(height_H(folded)[w, h])
-        north = folded.v_edges.sum(axis=0)
-        south = np.concatenate(([folded.boundary_bottom.sum()], north[:-1]))
-        odd = (south + north + folded.boundary_left + folded.h_edges[-1]) & 1
+    for t, (w, h, h1, h2, odd_row) in enumerate(_monotonicity_trials(trials, max_size, field, seed)):
         problems = [f"H1={h1} > H2={h2}"] if h1 > h2 else []
-        if odd.any():
-            problems.append(f"line parity broken on row {np.flatnonzero(odd)[0] + 1}")
+        if odd_row:
+            problems.append(f"line parity broken on row {odd_row}")
         rep.cases += 1
         if problems:
             rep.fail(f"trial {t}: {'; '.join(problems)} on {w}x{h}")

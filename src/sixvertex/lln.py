@@ -283,7 +283,7 @@ def _ratio_task(args):
                  _point_rows(wmax, hmax, 1.0 - field.b2[0, 0], seed, replica))
     else:
         coins = _coin_rows(wmax, hmax, field, seed, replica)
-    rows = _carry_rows(wmax, coins)
+    rows = _carry_rows((1 << wmax) - 1, coins)
     step = model == "s6v"
     out, at = [], 0
     for n in sizes:

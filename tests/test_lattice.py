@@ -1,6 +1,7 @@
 """Row samplers, complement duality, heights, and the block coloring."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from sixvertex.lmatrix import MAX_COLORS, vertex_outcome
 from sixvertex.rng import cell_uniforms, row_uniforms
 from sixvertex.serialize import ensemble_to_bytes
 from admissibility_oracle import admissibility_violations as admissibility_oracle
+from monotonicity_oracle import monotonicity_trials as monotonicity_oracle
 from sweep_oracle import sweep_rows
 
 HOMOG = make_field(0.3, 0.7)
@@ -153,7 +155,7 @@ def _bits(word: int, width: int) -> np.ndarray:
 def test_carry_kernel_matches_numpy_oracle(width, field, seed):
     f, height, mask = KERNEL_FIELDS[field], 23, (1 << width) - 1
     for variant, flip in (("cs6v", 0), ("s6v", mask)):
-        rows = _carry_rows(width, _coin_rows(width, height, f, seed, 2))
+        rows = _carry_rows(mask, _coin_rows(width, height, f, seed, 2))
         oracle = sweep_rows(width, height, f, seed, 2, variant)
         for y, ((north, east), (o_north, o_east)) in enumerate(zip(rows, oracle), start=1):
             assert np.array_equal(_bits(north, width), o_north), (variant, y)
@@ -491,6 +493,64 @@ def test_monotonicity_verifier_sees_lost_boundary_lines(drop, monkeypatch):
     assert not rep.passed
     assert rep.cases == 60
     assert all("line parity broken on row" in v for v in rep.violations)
+
+
+MONOTONICITY_FIELDS = {
+    "homogeneous": HOMOG,
+    # entries at b = 0 and b = 1 on both axes
+    "1x3": make_field([[0.0, 1.0, 0.4]], [[1.0, 0.2, 0.0]]),
+    "2x1": make_field([[1.0], [0.3]], [[0.0], [0.6]]),
+    "2x2": make_field([[0.0, 0.5], [1.0, 0.2]], [[0.8, 1.0], [0.0, 0.4]]),
+}
+
+
+# max_size 300 holds 108 lanes per word, so its 112 trials take two chunks
+@pytest.mark.parametrize("max_size, trials", [(1, 40), (5, 60), (16, 60), (40, 60), (300, 112)])
+@pytest.mark.parametrize("field", list(MONOTONICITY_FIELDS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lane_packed_trials_match_the_per_trial_oracle(max_size, trials, field, seed):
+    f = MONOTONICITY_FIELDS[field]
+    assert list(lattice._monotonicity_trials(trials, max_size, f, seed)) == \
+        list(monotonicity_oracle(trials, max_size, f, seed))
+
+
+def test_monotonicity_verifier_sees_a_lowered_folded_height(monkeypatch):
+    """A level-2 sweep that never nucleates in the columns its bottom lines
+    enter lowers H2 below H1; the lanes report it as the oracle does."""
+    real = lattice._carry_rows
+
+    def planted(mask, coins, south=0, west=0):
+        return real(mask, ((cross, nucleate & ~south) for cross, nucleate in coins), south, west)
+
+    monkeypatch.setattr(lattice, "_carry_rows", planted)
+    rep = verify_monotonicity(trials=60, max_size=10, field=HOMOG, seed=1)
+    assert rep.violations and all(" > H2=" in v for v in rep.violations)
+    monkeypatch.setattr(lattice, "_monotonicity_trials", monotonicity_oracle)
+    assert verify_monotonicity(trials=60, max_size=10, field=HOMOG, seed=1).violations == \
+        rep.violations
+
+
+def _traced_peak_mib(trials, max_size):
+    tracemalloc.start()
+    try:
+        assert verify_monotonicity(trials, max_size, HOMOG, 1).passed
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_monotonicity_memory_does_not_grow_with_trials_or_box_area():
+    """Rows are streamed and trials chunked to LANE_BITS bits per word: ten
+    times the trials reuse the same chunk size, and 20 boxes of up to
+    2000 x 2000 never hold a box (one edge plane alone would be 4 MiB)."""
+    assert _traced_peak_mib(20_000, 16) <= 1.25 * _traced_peak_mib(2_000, 16)
+    assert _traced_peak_mib(20, 2000) < 3.0
+
+
+@pytest.mark.parametrize("trials, max_size", [(0, 5), (-1, 5), (5, 0), (5, -3)])
+def test_monotonicity_verifier_rejects_empty_requests(trials, max_size):
+    with pytest.raises(ValueError, match="trials >= 1 and max_size >= 1"):
+        verify_monotonicity(trials, max_size, HOMOG, 1)
 
 
 def _corrupted(e, seed, flips=3):
