@@ -514,17 +514,25 @@ def test_lane_packed_trials_match_the_per_trial_oracle(max_size, trials, field, 
         list(monotonicity_oracle(trials, max_size, f, seed))
 
 
-def test_monotonicity_verifier_sees_a_lowered_folded_height(monkeypatch):
-    """A level-2 sweep that never nucleates in the columns its bottom lines
-    enter lowers H2 below H1; the lanes report it as the oracle does."""
+@pytest.mark.parametrize("fault", ["no nucleation above bottom lines", "south dropped",
+                                   "west dropped"])
+def test_monotonicity_violations_match_the_oracle_under_a_planted_fault(fault, monkeypatch):
+    """The lanes report a faulty sweep trial by trial as the oracle does.  A
+    level-2 sweep that never nucleates in the columns its bottom lines enter
+    lowers H2 below H1; lost boundary lines break the row parity."""
     real = lattice._carry_rows
 
     def planted(mask, coins, south=0, west=0):
-        return real(mask, ((cross, nucleate & ~south) for cross, nucleate in coins), south, west)
+        if fault == "no nucleation above bottom lines":
+            coins = ((cross, nucleate & ~south) for cross, nucleate in coins)
+        return real(mask, coins, 0 if fault == "south dropped" else south,
+                    0 if fault == "west dropped" else west)
 
     monkeypatch.setattr(lattice, "_carry_rows", planted)
     rep = verify_monotonicity(trials=60, max_size=10, field=HOMOG, seed=1)
-    assert rep.violations and all(" > H2=" in v for v in rep.violations)
+    assert rep.violations
+    if fault == "no nucleation above bottom lines":
+        assert all(" > H2=" in v for v in rep.violations)
     monkeypatch.setattr(lattice, "_monotonicity_trials", monotonicity_oracle)
     assert verify_monotonicity(trials=60, max_size=10, field=HOMOG, seed=1).violations == \
         rep.violations
@@ -542,7 +550,7 @@ def _traced_peak_mib(trials, max_size):
 def test_monotonicity_memory_does_not_grow_with_trials_or_box_area():
     """Rows are streamed and trials chunked to LANE_BITS bits per word: ten
     times the trials reuse the same chunk size, and 20 boxes of up to
-    2000 x 2000 never hold a box (one edge plane alone would be 4 MiB)."""
+    2000 x 2000 never hold a box (one 2000 x 2000 edge plane is 3.8 MiB)."""
     assert _traced_peak_mib(20_000, 16) <= 1.25 * _traced_peak_mib(2_000, 16)
     assert _traced_peak_mib(20, 2000) < 3.0
 
