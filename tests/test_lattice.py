@@ -514,6 +514,14 @@ def test_lane_packed_trials_match_the_per_trial_oracle(max_size, trials, field, 
         list(monotonicity_oracle(trials, max_size, f, seed))
 
 
+# words narrower than one lane take a single lane each; 40 bits hold two 17-bit lanes
+@pytest.mark.parametrize("lane_bits", [8, 40])
+def test_lane_packed_trials_match_the_oracle_in_narrow_words(lane_bits, monkeypatch):
+    monkeypatch.setattr(lattice, "LANE_BITS", lane_bits)
+    assert list(lattice._monotonicity_trials(30, 16, INHOMOG, 3)) == \
+        list(monotonicity_oracle(30, 16, INHOMOG, 3))
+
+
 @pytest.mark.parametrize("fault", ["no nucleation above bottom lines", "south dropped",
                                    "west dropped"])
 def test_monotonicity_violations_match_the_oracle_under_a_planted_fault(fault, monkeypatch):
