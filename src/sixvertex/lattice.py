@@ -512,8 +512,27 @@ def admissibility_violations(e: PathEnsemble, scheme: "ColoringScheme | None" = 
     return bad
 
 
-# Bits per lane-packed row word of the monotonicity trials.
+# Bits per lane-packed row word of the monotonicity trials and shell counts.
 LANE_BITS = 1 << 15
+
+
+def _lane_coin_rows(seed: int, replicas, widths, heights, stride: int,
+                    field: ParameterField, mask: int):
+    """_coin_rows's words for rows 1..max(heights) of lanes of stride bits:
+    lane i is a guard bit, then replica replicas[i]'s columns 1..widths[i],
+    drawn on its rows y <= heights[i] (later rows keep stale coins).  mask
+    has the swept bits, and nucleate none other."""
+    cols, widths, heights = np.arange(stride), np.asarray(widths), np.asarray(heights)
+    thr = np.zeros((field.J, stride, 2), dtype=np.uint64)  # guard bits are never swept
+    thr[:, 1:] = field._thresholds[cols[:-1] % field.I].transpose(1, 0, 2)
+    drawn = (cols >= 1) & (cols <= widths[:, None])
+    buf = np.zeros((len(widths), stride, 2), dtype=np.uint64)
+    for y in range(1, int(heights.max()) + 1):
+        live = heights >= y
+        buf[drawn & live[:, None]] = rng.lane_words(
+            seed, np.asarray(replicas)[live].tolist(), y, widths[live].tolist()).reshape(-1, 2)
+        below = np.right_shift(buf, 11, out=buf) < thr[(y - 1) % field.J]
+        yield _packed(below[..., 0]), mask & ~_packed(below[..., 1])
 
 
 def _monotonicity_trials(trials: int, max_size: int, field: ParameterField, seed: int):
@@ -521,8 +540,6 @@ def _monotonicity_trials(trials: int, max_size: int, field: ParameterField, seed
     of verify_monotonicity; see there for the lane layout."""
     geom, stride = np.random.default_rng(seed), max_size + 1
     lanes, cols = max(1, LANE_BITS // stride), np.arange(stride)
-    thr = np.zeros((field.J, stride, 2), dtype=np.uint64)  # guard bits are never swept
-    thr[:, 1:] = field._thresholds[cols[:-1] % field.I].transpose(1, 0, 2)
     for t0 in range(0, trials, lanes):
         n, ws, hs = min(lanes, trials - t0), [], []
         left, bottom = np.zeros((2, n, stride), dtype=np.uint8)  # left[i, y]: row y's line
@@ -533,16 +550,7 @@ def _monotonicity_trials(trials: int, max_size: int, field: ParameterField, seed
             bottom[i, 1:ws[i] + 1] = geom.random(ws[i]) < 0.5
         w, h = np.array(ws), np.array(hs)
         mask = _packed((cols >= 1) & (cols <= w[:, None]))
-
-        def coins():
-            buf = np.zeros((n, stride, 2), dtype=np.uint64)
-            for y in range(1, max(hs) + 1):
-                for i in np.flatnonzero(h >= y).tolist():
-                    buf[i, 1:ws[i] + 1] = rng.row_words(seed, t0 + i, y, ws[i])
-                below = np.right_shift(buf, 11, out=buf) < thr[(y - 1) % field.J]
-                yield _packed(below[..., 0]), mask & ~_packed(below[..., 1])
-
-        c1, c2 = itertools.tee(coins())
+        c1, c2 = itertools.tee(_lane_coin_rows(seed, t0 + np.arange(n), w, h, stride, field, mask))
         west = (_packed(np.where(cols == 1, left[:, y, None], 0)) for y in range(1, max(hs) + 1))
         rows = zip(_carry_rows(mask, c1), _carry_rows(mask, c2, _packed(bottom), west))
         h1, h2, odd_row = np.zeros((3, n), dtype=np.int64)

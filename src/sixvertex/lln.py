@@ -7,10 +7,11 @@ The longest-chain height has the classical parabolic limit, which is the
 b1 = 0 specialization of the same formula.  For periodic parameters no
 closed form is claimed: the superadditive line counts X along a rational
 direction certify that the ergodic-theorem hypotheses hold empirically
-(two-sample KS tests from kstest, which keeps scipy.stats unimported), and
-convergence experiments report Cauchy gaps and replica spread instead of a
-reference value.  Convergence experiments read their heights while the
-sampler sweeps the rows, so a replica holds O(width) state, never a box.
+(two-sample KS tests on counts read off replicas run as lanes of one
+packed carry sweep of the colored levels), and convergence experiments
+report Cauchy gaps and replica spread instead of a reference value.
+Convergence experiments read their heights while the sampler sweeps the
+rows, so a replica holds O(width) state, never a box.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ from .lattice import (
     ColoringScheme,
     ParameterField,
     PathEnsemble,
+    LANE_BITS,
     _carry_rows,
     _coin_rows,
+    _lane_coin_rows,
     _packed,
+    _row_bits,
     height_H,
     make_coloring,
     mod2_project,
     sample_colored_cs6v,
 )
+from .lmatrix import MAX_COLORS
 from .report import VerificationReport
 
 
@@ -137,19 +142,40 @@ def verify_prop_X_height(e: PathEnsemble, scheme: ColoringScheme) -> Verificatio
 
 
 def _superadditive_task(args):
-    b1, b2, x, y, n_blocks, seed, replica = args
-    field = ParameterField(np.asarray(b1), np.asarray(b2))
-    scheme = make_coloring(Fraction(x), Fraction(y), field)
-    return sample_colored_cs6v(n_blocks, scheme, field, seed, replica)
+    return sample_colored_cs6v(*args)
 
 
 def sample_shell_ensembles(direction, field: ParameterField, n_blocks: int,
                            replicas: int, seed: int, workers: int = 1):
     """Colored samples with n_blocks shells for replicas 0..replicas-1."""
-    x, y = direction
-    args = [(field.b1.tolist(), field.b2.tolist(), str(Fraction(x)), str(Fraction(y)),
-             n_blocks, seed, r) for r in range(replicas)]
+    scheme = make_coloring(*direction, field)
+    args = [(n_blocks, scheme, field, seed, r) for r in range(replicas)]
     return pool.run_tasks(_superadditive_task, args, workers)
+
+
+def _shell_count_task(args):
+    """X(0,k), X(k,2k) and X(1,k+1), shape (3, r1 - r0), of replicas r0..r1-1;
+    see verify_ergodic_hypotheses for the lane layout."""
+    field, bx, by, k, seed, r0, r1 = args
+    n, stride, reads = 2 * k, 2 * k * bx + 1, ((0, k), (k, 2 * k), (1, k + 1))
+    chunk, out = max(1, LANE_BITS // stride), np.empty((3, r1 - r0), dtype=np.int64)
+    for c0 in range(r0, r1, chunk):
+        lanes = min(chunk, r1 - c0)
+        tile = ((1 << lanes * stride) - 1) // ((1 << stride) - 1)  # bit 0 of every lane
+        mask = tile * ((1 << stride) - 2)
+        coins = list(_lane_coin_rows(seed, range(c0, c0 + lanes), [n * bx] * lanes,
+                                     [n * by] * lanes, stride, field, mask))
+        north = {0: [0] * n * by}  # level L -> its north word per row; level 0 is empty
+        for L in {n - m for pair in reads for m in pair} - {0}:
+            window, y0 = tile * ((1 << stride) - (2 << (n - L) * bx)), (n - L) * by
+            level_coins = ((cross, nucleate & window if y > y0 else 0)
+                           for y, (cross, nucleate) in enumerate(coins, start=1))
+            north[L] = [s for s, _ in _carry_rows(mask, level_coins)]
+        diffs = (((north[n - a][b * by - 1] ^ north[n - b][b * by - 1])
+                  & tile * ((2 << b * bx) - (2 << a * bx)), 0) for a, b in reads)
+        bits = _row_bits(lanes * stride, 3, diffs)[:, 0].reshape(3, lanes, stride)
+        out[:, c0 - r0:c0 - r0 + lanes] = bits.sum(axis=2)
+    return out
 
 
 def verify_ergodic_hypotheses(direction, field: ParameterField, k: int,
@@ -158,19 +184,29 @@ def verify_ergodic_hypotheses(direction, field: ParameterField, k: int,
     """Empirical check of the superadditive ergodic theorem's hypotheses for
     the array X(m, n) along a rational direction.
 
-    Samples 2k-shell ensembles and tests: distributional invariance of
+    Samples 2k-shell colored boxes and tests: distributional invariance of
     X(m, m+k) under m -> m+k and under m -> m+1 (two-sample KS at the given
     significance), nonnegativity, and finite means (reported).  The KS test
     is scipy's asymptotic two-sided one (see kstest), which needs replicas
     >= 2: with one replica per side its effective sample size rounds to 0.
+
+    No ensemble is built: the replicas are lanes of one carry sweep, lane r a
+    guard bit and then the box's 2k*bx columns on replica r's coins, at most
+    LANE_BITS bits a word.  The column mask and each level's nucleation
+    window (x > (2k-L)*bx, y > (2k-L)*by) are tiled across the lanes, and
+    X(m, n) is a lane's popcount, over columns m*bx+1..n*bx, of the XOR of
+    levels 2k-m and 2k-n (level 0 is empty) at row n*by.  `workers`
+    contiguous lane groups run as one pool task each.
     """
+    if not 1 <= k <= MAX_COLORS // 2:
+        raise ValueError(f"need k in 1..{MAX_COLORS // 2}, got k={k}")
     if replicas < 2:
         raise ValueError(f"need replicas >= 2 for the KS tests, got {replicas}")
     scheme = make_coloring(*direction, field)
-    ens = sample_shell_ensembles(direction, field, 2 * k, replicas, seed, workers)
-    x0k = np.array([compute_X(e, scheme, 0, k) for e in ens])
-    xk2k = np.array([compute_X(e, scheme, k, 2 * k) for e in ens])
-    x1k1 = np.array([compute_X(e, scheme, 1, k + 1) for e in ens])
+    groups = max(1, min(workers, replicas))  # the pool runs workers <= 1 inline
+    bounds = [replicas * g // groups for g in range(groups + 1)]
+    args = [(field, scheme.bx, scheme.by, k, seed, r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+    x0k, xk2k, x1k1 = np.concatenate(pool.run_tasks(_shell_count_task, args, workers), axis=1)
     rep = VerificationReport(f"ergodic hypotheses k={k}")
     rep.cases = 3
     if min(x0k.min(), xk2k.min(), x1k1.min()) < 0:

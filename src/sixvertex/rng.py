@@ -57,6 +57,23 @@ def row_words(seed: int, replica: int, row: int, width: int) -> np.ndarray:
     return _draw(seed, replica, row, 0, 2 * width).reshape(width, 2)
 
 
+def lane_words(seed: int, replicas: list, row: int, widths: list) -> np.ndarray:
+    """row_words(seed, r, row, w), raveled, for each lane (r, w) of zip(replicas,
+    widths), concatenated: the lane sweeps' draw, which checks the addresses
+    once per row rather than once per lane."""
+    if not (0 <= seed <= MAX_SEED and 0 <= min(replicas) and max(replicas) <= MAX_SEED
+            and 1 <= row <= MAX_SEED) or min(widths) < 1:
+        raise ValueError("need seed and replicas in 0..MAX_SEED, row in 1..MAX_SEED, widths >= 1")
+    lane, words = {"counter": (0, 0, row, 0), "key": (seed, 0)}, []
+    state = {"bit_generator": "Philox", "state": lane, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for r, w in zip(replicas, widths):
+        lane["key"] = (seed, r)  # tuples: the setter reads them faster than lists
+        _BITGEN.state = state
+        words.append(_BITGEN.random_raw(2 * w))
+    return np.concatenate(words)
+
+
 def row_uniforms(seed: int, replica: int, row: int, width: int):
     """Uniform arrays (u1, u2), each of length width, for one lattice row:
     the doubles of row_words, bit for bit those of Generator.random."""

@@ -295,6 +295,18 @@ def test_workers_do_not_change_output(tmp_path, monkeypatch):
     assert csv_path.read_bytes() == outs[0]
 
 
+def test_workers_do_not_change_the_verify_report(tmp_path, monkeypatch, capsys):
+    # the ergodic check splits its replicas into one lane group per worker
+    monkeypatch.delenv("SIXVERTEX_WORKERS", raising=False)
+    outs = []
+    for w in ("1", "2"):
+        report = tmp_path / f"w{w}.json"
+        assert main(["verify", "--seed", "2", "--n", "2", "--trials", "30", "--max-size", "6",
+                     "--replicas", "41", "--workers", w, "--out", str(report)]) == 0
+        outs.append((report.read_bytes(), capsys.readouterr().out))
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
 def test_bad_workers_env_is_a_config_error(value, monkeypatch, capsys):
     monkeypatch.setenv("SIXVERTEX_WORKERS", value)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sixvertex import lln
 from sixvertex.degenerations import hammersley_height, sample_pointset
 from sixvertex.lattice import (
     height_H,
@@ -18,6 +19,7 @@ from sixvertex.lattice import (
     sample_cs6v,
     sample_s6v,
 )
+from sixvertex.lmatrix import MAX_COLORS
 from sixvertex.lln import (
     ConvergenceReport,
     _ratio_task,
@@ -170,6 +172,75 @@ def test_ergodic_ks_pvalues_are_pinned(replicas):
     rep = verify_ergodic_hypotheses((1, 1), HOMOG, 2, replicas, 1)
     got = (rep.details["ks_p_shift_k"].hex(), rep.details["ks_p_shift_1"].hex())
     assert got == KS_PINS[replicas]
+
+
+@pytest.mark.parametrize("k", [0, -1, MAX_COLORS // 2 + 1])
+def test_ergodic_hypotheses_reject_k_out_of_range(k, monkeypatch):
+    def sampled(*args):
+        raise AssertionError("sampled before k was checked")
+
+    monkeypatch.setattr(lln.pool, "run_tasks", sampled)
+    with pytest.raises(ValueError, match=f"k in 1..{MAX_COLORS // 2}, got k={k}"):
+        verify_ergodic_hypotheses((1, 1), HOMOG, k, 20, 1)
+
+
+# ---------------------------------------------------------------------------
+# Lane-packed shell counts of the ergodic check against the per-replica
+# ensembles read by compute_X
+
+SHELL_FIELDS = {
+    "homogeneous": HOMOG,
+    "2x2": make_field([[0.0, 0.5], [1.0, 0.2]], [[0.8, 1.0], [0.0, 0.4]]),
+}
+
+
+def _shell_counts_oracle(direction, field, k, replicas, seed):
+    scheme = make_coloring(*direction, field)
+    ensembles = sample_shell_ensembles(direction, field, 2 * k, replicas, seed)
+    return [[compute_X(e, scheme, m, n) for e in ensembles]
+            for m, n in ((0, k), (k, 2 * k), (1, k + 1))]
+
+
+def _shell_counts(direction, field, k, replicas, seed):
+    scheme = make_coloring(*direction, field)
+    return lln._shell_count_task((field, scheme.bx, scheme.by, k, seed, 0, replicas)).tolist()
+
+
+@pytest.mark.parametrize("field", list(SHELL_FIELDS))
+@pytest.mark.parametrize("direction", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lane_shell_counts_match_the_per_replica_oracle(field, direction, k, seed):
+    f = SHELL_FIELDS[field]
+    assert _shell_counts(direction, f, k, 9, seed) == _shell_counts_oracle(direction, f, k, 9, seed)
+
+
+# direction (2, 1) on the 2x2 field has 4x2 blocks: k = 2 gives 17-bit lanes,
+# so 8 bits hold one lane a word and 40 bits two, with a lone last lane
+@pytest.mark.parametrize("lane_bits", [8, 40])
+def test_lane_shell_counts_match_the_oracle_in_narrow_words(lane_bits, monkeypatch):
+    monkeypatch.setattr(lln, "LANE_BITS", lane_bits)
+    f = SHELL_FIELDS["2x2"]
+    assert _shell_counts((2, 1), f, 2, 7, 3) == _shell_counts_oracle((2, 1), f, 2, 7, 3)
+
+
+def _shell_sweep_peak(replicas):
+    tracemalloc.start()
+    try:
+        counts = lln._shell_count_task((HOMOG, 1, 1, 2, 1, 0, replicas))
+        return tracemalloc.get_traced_memory()[1] - counts.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_shell_sweep_memory_does_not_grow_with_replicas(monkeypatch):
+    """Lanes are chunked to LANE_BITS bits a word, so past one chunk the
+    sweep holds nothing per replica but its three counts: at 250 five-bit
+    lanes a chunk, 5000 replicas peak as 500 do.  (The whole check's peak
+    still grows with the replicas: the KS test on 5000 counts a side alone
+    peaks near 0.45 MiB.)"""
+    monkeypatch.setattr(lln, "LANE_BITS", 1250)
+    assert _shell_sweep_peak(5000) <= 1.25 * _shell_sweep_peak(500)
 
 
 # ---------------------------------------------------------------------------

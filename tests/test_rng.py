@@ -72,6 +72,27 @@ def test_row_uniforms_rejects_bad_addresses():
     rng.cell_uniforms(0, 0, 2**65, 1)  # the row stream's last cell, block 2**64 - 1
 
 
+def test_lane_words_match_row_words_lane_by_lane():
+    # uneven widths, extreme keys, and row_words draws in between: each lane
+    # rekeys the shared Philox, so no state may leak from one lane or call
+    lanes = [(0, 3), (2**64 - 1, 1), (5, 1000), (5, 4), (1, 2)]
+    for seed in (0, 7, 2**64 - 1):
+        for row in (1, 2, 2**64 - 1):
+            want = np.concatenate([rng.row_words(seed, r, row, w).ravel() for r, w in lanes])
+            rng.row_words(seed + 1 if seed < 2**64 - 1 else 0, 9, 3, 5)
+            got = rng.lane_words(seed, [r for r, _ in lanes], row, [w for _, w in lanes])
+            assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, row)
+
+
+def test_lane_words_rejects_bad_addresses():
+    for seed, replicas, row, widths in ((-1, [0], 1, [1]), (2**64, [0], 1, [1]),
+                                        (0, [3, -1], 1, [1, 1]), (0, [0, 2**64], 1, [1, 1]),
+                                        (0, [0], 0, [1]), (0, [0], 2**64, [1]),
+                                        (0, [0, 1], 1, [2, 0])):
+        with pytest.raises(ValueError):
+            rng.lane_words(seed, replicas, row, widths)
+
+
 # SHA-256 of data outputs at seeds 1 and 3, taken before the samplers moved
 # from uniform doubles to integer thresholds on the raw words; the field has
 # b = 0 and b = 1 entries on both axes.
