@@ -452,3 +452,41 @@ def test_verify_report_and_stdout_are_pinned(argv, seed, checks_sha, stdout_sha,
     checks = json.loads(report.read_text())["checks"]
     assert hashlib.sha256(json.dumps(checks).encode()).hexdigest() == checks_sha
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+# SHA-256 of the bytes each command writes (not a re-dump of the parsed
+# document), pinned before the JSON writer left json.dump: (argv after the
+# seed, output flag, {seed: digest}).  The provenance, version string
+# included, is part of the bytes.
+WRITTEN_PINS = {
+    "sample-colored": (
+        ("sample", "--model", "colored", "--blocks", "10", "--dir", "16,16"), "--json",
+        {1: "c0ccb325f1193739f1b81fefb0e51773a979322072054ea9766c83576f02c41c",
+         3: "ea1fbe110ad9438a158582d7dd4c5ad82deaf65414a982bdc7e04fb7d4a6b93a"}),
+    "sample-cs6v": (
+        ("sample", "--model", "cs6v", "--width", "7", "--height", "5"), "--json",
+        {1: "17f90e56a0f05e348ef816681356d5287de4d5e464b73befef368b0008b11542",
+         3: "6eb795b18626255bc5518b0d1cc7e6777e6789851e0f73b1677050abeba39909"}),
+    "verify-battery": (
+        ("verify", *BATTERY_ARGV), "--out",
+        {1: "93b26a3c14584763a02d6cadd77fd7587489e6e00f2c1cc77cfa17d737a8a723",
+         3: "9eb35915b61fd27c258c029e6790911a2cda9e934b7da07d1df09e027e9a6b19"}),
+    "converge-s6v": (
+        ("converge", "--model", "s6v", "--sizes", "100,200,400", "--replicas", "3"), "--json",
+        {1: "00e88f5edd1030bc14700c9b358f8c5052b26386ebeedb774beefc54b10e9511",
+         3: "737a35059321a171c7d0804fd818f06acfa60223d376e9c152d9af1c73de20ca"}),
+    "hammersley": (
+        ("hammersley", "--width", "20", "--height", "20", "--coupling-seeds", "3",
+         "--sizes", "100,200", "--replicas", "2"), "--out",
+        {1: "07f4c989683ed7c1d2ada9e2805422c1bdc56938bc2e2c8da36b7f887de6e546",
+         3: "0d88366a496881473f5e5daa49d6da441bec4ae5f4b06c1c344571056939b85e"}),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("name", sorted(WRITTEN_PINS))
+def test_written_json_bytes_are_pinned(name, seed, tmp_path, capsys):
+    argv, flag, digests = WRITTEN_PINS[name]
+    path = tmp_path / "out.json"
+    assert main([*argv, "--seed", str(seed), flag, str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[seed]
