@@ -72,7 +72,7 @@ from .pool import resolve_workers
 from .render_svg import write_svg
 from .report import VerificationReport
 from .rng import MAX_SEED, row_uniforms
-from .serialize import ensemble_to_json, write_ensemble
+from .serialize import ensemble_to_json, json_chunks, write_ensemble
 
 
 class ConfigError(Exception):
@@ -240,7 +240,7 @@ def _workers(options: dict) -> int:
 
 def _write_json(path, doc: dict) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        f.writelines(json_chunks(doc))
         f.write("\n")
 
 

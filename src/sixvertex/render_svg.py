@@ -3,7 +3,8 @@
 Lines of each color are drawn as unit segments between vertex centers, with
 a small per-color perpendicular offset so co-traveling lines of different
 colors stay visible side by side.  Boundary entries and top/right exits are
-drawn as half-length stubs.  Output is deterministic byte for byte.
+drawn as half-length stubs.  Each coordinate is formatted once per color
+into a lookup table.  Output is deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
                  offset: float = 2.5, comment: str | None = None) -> str:
     """Render an ensemble to an SVG string, assembled in ElementTree's
     serialization form; every attribute value is a number or a fixed string,
-    so nothing needs escaping."""
+    so nothing needs escaping.  Lines are built from table lookups."""
     w_px = 2 * margin + (e.width + 1) * cell
     h_px = 2 * margin + (e.height + 1) * cell
 
@@ -41,42 +42,42 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
     def Y(y: float) -> float:
         return h_px - margin - y * cell
 
+    # xs[i] is column i + 1 and ys[j] row j + 1; the entry past the last is
+    # the top or right exit stub
+    xs = [_fmt(X(x)) for x in range(1, e.width + 1)] + [_fmt(X(e.width + 0.5))]
+    ys = [_fmt(Y(y)) for y in range(1, e.height + 1)] + [_fmt(Y(e.height + 0.5))]
+    x_stub, y_stub = _fmt(X(0.5)), _fmt(Y(0.5))  # left and bottom entries
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" height="{h_px}" '
            f'viewBox="0 0 {w_px} {h_px}">']
-    if comment is not None:
-        out.append(f"<!--{comment.replace('--', '- -')}-->")
+    if comment is not None:  # no "--" inside and no "-" at the end
+        while "--" in comment:
+            comment = comment.replace("--", "- -")
+        out.append(f"<!--{comment}{' ' * comment.endswith('-')}-->")
     out.append(f'<rect x="0" y="0" width="{w_px}" height="{h_px}" fill="white" />')
     # vertex dots
-    cys = [_fmt(Y(y)) for y in range(1, e.height + 1)]
-    cxs = [_fmt(X(x)) for x in range(1, e.width + 1)]
     out.append(_group('fill="#cccccc"', [f'<circle cx="{cx}" cy="{cy}" r="1.5" />'
-                                         for cx in cxs for cy in cys]))
+                                         for cx in xs[:-1] for cy in ys[:-1]]))
     for c in range(1, e.n_colors + 1):
         color = PALETTE[(c - 1) % len(PALETTE)]
         d = (c - (e.n_colors + 1) / 2.0) * offset
-        lines = []
-
-        def seg(x0, y0, x1, y1):
-            lines.append(f'<line x1="{_fmt(X(x0))}" y1="{_fmt(Y(y0))}" '
-                         f'x2="{_fmt(X(x1))}" y2="{_fmt(Y(y1))}" />')
-
         bit = c - 1
         dx = d / cell  # offsets in lattice units
+        xd = [_fmt(X(x + dx)) for x in range(1, e.width + 1)]
+        yd = [_fmt(Y(y + dx)) for y in range(1, e.height + 1)]
         vbits = (e.v_edges >> bit) & 1
         hbits = (e.h_edges >> bit) & 1
-        xs, ys = np.nonzero(vbits | hbits)  # x-major, then y
-        for x, y, vb, hb in zip((xs + 1).tolist(), (ys + 1).tolist(),
-                                vbits[xs, ys].tolist(), hbits[xs, ys].tolist()):
+        ci, cj = np.nonzero(vbits | hbits)  # x-major, then y
+        lines = []
+        for i, j, vb, hb in zip(ci.tolist(), cj.tolist(),
+                                vbits[ci, cj].tolist(), hbits[ci, cj].tolist()):
             if vb:
-                top = y + 1 if y < e.height else y + 0.5
-                seg(x + dx, y, x + dx, top)
+                lines.append(f'<line x1="{xd[i]}" y1="{ys[j]}" x2="{xd[i]}" y2="{ys[j + 1]}" />')
             if hb:
-                right = x + 1 if x < e.width else x + 0.5
-                seg(x, y + dx, right, y + dx)
-        for y in (np.flatnonzero((e.boundary_left >> bit) & 1) + 1).tolist():
-            seg(0.5, y + dx, 1, y + dx)
-        for x in (np.flatnonzero((e.boundary_bottom >> bit) & 1) + 1).tolist():
-            seg(x + dx, 0.5, x + dx, 1)
+                lines.append(f'<line x1="{xs[i]}" y1="{yd[j]}" x2="{xs[i + 1]}" y2="{yd[j]}" />')
+        lines += [f'<line x1="{x_stub}" y1="{yd[j]}" x2="{xs[0]}" y2="{yd[j]}" />'
+                  for j in np.flatnonzero((e.boundary_left >> bit) & 1).tolist()]
+        lines += [f'<line x1="{xd[i]}" y1="{y_stub}" x2="{xd[i]}" y2="{ys[0]}" />'
+                  for i in np.flatnonzero((e.boundary_bottom >> bit) & 1).tolist()]
         out.append(_group(f'stroke="{color}" stroke-width="2" stroke-linecap="round"', lines))
     out.append("</svg>")
     return "".join(out)

@@ -1,5 +1,5 @@
-"""File formats: compact binary ensembles, lossless JSON debug form, and
-plain-text point sets.
+"""File formats: compact binary ensembles, lossless JSON debug form, the
+JSON text of every document the CLI writes, and plain-text point sets.
 
 Binary layout (all integers little-endian):
 
@@ -17,12 +17,17 @@ Binary layout (all integers little-endian):
                      the left boundary plane (height bits) and the bottom
                      boundary plane (width bits); each plane is packed
                      little-endian bit order and padded to whole 64-bit words.
+
+JSON text: ``json_chunks(doc)`` is ``json.dumps(doc, indent=2, sort_keys=True)``
+byte for byte; an ensemble's edge lists are formatted in one join each.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -119,17 +124,13 @@ def read_ensemble(path) -> tuple[PathEnsemble, dict]:
 
 def ensemble_to_json(e: PathEnsemble, meta: dict | None = None) -> dict:
     """Lossless debug form: explicit edge coordinate lists per color."""
-    colors = []
-    for c in range(1, e.n_colors + 1):
-        vx, vy = np.nonzero((e.v_edges >> (c - 1)) & 1)
-        hx, hy = np.nonzero((e.h_edges >> (c - 1)) & 1)
-        colors.append({
-            "color": c,
-            "v": [[int(x) + 1, int(y) + 1] for x, y in zip(vx, vy)],
-            "h": [[int(x) + 1, int(y) + 1] for x, y in zip(hx, hy)],
-            "left": [int(y) + 1 for y in np.nonzero((e.boundary_left >> (c - 1)) & 1)[0]],
-            "bottom": [int(x) + 1 for x in np.nonzero((e.boundary_bottom >> (c - 1)) & 1)[0]],
-        })
+    colors = [{
+        "color": c,
+        "v": (np.argwhere((e.v_edges >> (c - 1)) & 1) + 1).tolist(),
+        "h": (np.argwhere((e.h_edges >> (c - 1)) & 1) + 1).tolist(),
+        "left": (np.flatnonzero((e.boundary_left >> (c - 1)) & 1) + 1).tolist(),
+        "bottom": (np.flatnonzero((e.boundary_bottom >> (c - 1)) & 1) + 1).tolist(),
+    } for c in range(1, e.n_colors + 1)]
     out = {
         "format": "sixvertex-ensemble",
         "version": VERSION,
@@ -142,6 +143,44 @@ def ensemble_to_json(e: PathEnsemble, meta: dict | None = None) -> dict:
     if meta is not None:
         out["meta"] = meta
     return out
+
+
+def _int_items(items, inner: str) -> str | None:
+    """The items of a list of ints or of [int, int] pairs, in one join; None
+    for any other list.  Bools are left out: json writes them true/false."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return ("," + inner).join(map(int.__repr__, items))
+    if kinds == {list} and set(map(len, items)) == {2}:
+        flat = tuple(chain.from_iterable(items))
+        if set(map(type, flat)) == {int}:
+            return ("," + inner).join([f"[{inner}  %d,{inner}  %d{inner}]"] * len(items)) % flat
+    return None
+
+
+def json_chunks(doc, indent: str = "\n"):
+    """Chunks of json.dumps(doc, indent=2, sort_keys=True), byte for byte;
+    indent is the newline and indentation of doc's own level.  Scalars and
+    empty containers are json's own text."""
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc:
+        for i, (k, v) in enumerate(sorted(doc.items())):
+            if not isinstance(k, str):  # json's text of a None, bool, int or float key
+                k = json.dumps(k) if k is None or isinstance(k, (int, float)) else None
+            yield f"{',' if i else '{'}{inner}{_quote(k)}: "  # _quote(None) is a TypeError
+            yield from json_chunks(v, inner)
+        yield indent + "}"
+    elif isinstance(doc, (list, tuple)) and doc:
+        text = _int_items(doc, inner)
+        if text is not None:
+            yield f"[{inner}{text}{indent}]"
+            return
+        for i, v in enumerate(doc):
+            yield ("," if i else "[") + inner
+            yield from json_chunks(v, inner)
+        yield indent + "]"
+    else:
+        yield json.dumps(doc)
 
 
 def _index(value, extent: int, what: str) -> int:

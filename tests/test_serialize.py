@@ -1,5 +1,8 @@
 """Binary, JSON, plain-text, and SVG output formats."""
 
+import json
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from sixvertex.lattice import (
     sample_colored_cs6v,
     sample_cs6v,
     sample_s6v,
+    sample_two_colored_with_boundary,
 )
 from sixvertex.render_svg import ensemble_svg, write_svg
 from sixvertex.serialize import (
@@ -18,11 +22,14 @@ from sixvertex.serialize import (
     ensemble_from_json,
     ensemble_to_bytes,
     ensemble_to_json,
+    json_chunks,
     read_ensemble,
     read_pointset,
     write_ensemble,
     write_pointset,
 )
+
+from svg_oracle import ensemble_svg as oracle_svg
 
 FIELD = make_field(0.3, 0.7)
 
@@ -240,3 +247,111 @@ def test_pointset_parser_rejects_out_of_range_points(text, extents, tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="outside 1.."):
         read_pointset(path, **extents)
+
+
+# ---------------------------------------------------------------------------
+# JSON text: json_chunks against json.dumps(indent=2, sort_keys=True)
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+INTS = st.one_of(st.integers(-2**70, 2**70), st.sampled_from([True, False, 2**64 + 1]))
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"),
+                                    -float("inf")]))
+SCALARS = st.one_of(st.none(), INTS, FLOATS, FLOATS.map(np.float64),
+                    st.text(alphabet=st.sampled_from('aé"\\/\x00\n\x1f\u2028\U0001f600-'),
+                            max_size=6))
+# the fast paths: lists of ints and lists of [int, int] pairs, bools included
+INT_LISTS = st.one_of(st.lists(INTS, max_size=5),
+                      st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=4))
+KEYS = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.sampled_from([1.5, None, True]))
+DOCS = st.recursive(
+    st.one_of(SCALARS, INT_LISTS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4),
+                           st.dictionaries(KEYS, kids, max_size=1)),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(DOCS)
+def test_json_text_equals_json_dumps(doc):
+    assert "".join(json_chunks(doc)) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), [[]], [{}], {"a": [], "b": {}}, [[1, 2], [3, True]], [1, True, 2],
+    [[1, 2, 3]], [(1, 2)], [[1, 2], (3, 4)], [[1, 2.0]], [2**63, -2**64], [None],
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308],
+    [np.float64(0.1), np.float64("nan")], {"q": 'a"b\\c\x00é\u2028'},
+], ids=repr)
+def test_json_text_edge_cases(doc):
+    assert "".join(json_chunks(doc)) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "a", "b": 2}, [np.int64(1)], {(1, 2): 3}, [object()]],
+                         ids=["mixed keys", "numpy int", "tuple key", "object"])
+def test_json_text_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        _dumps(doc)
+    with pytest.raises(TypeError):
+        "".join(json_chunks(doc))
+
+
+@pytest.mark.parametrize("e", _samples(), ids=["s6v", "cs6v", "colored"])
+def test_ensemble_json_text_equals_json_dumps(e):
+    doc = ensemble_to_json(e, {"seed": 1, "note": "x"})
+    assert "".join(json_chunks(doc)) == _dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# SVG: the table-driven renderer against the per-coordinate oracle
+
+def _svg_cases():
+    periodic = make_field([[0.2, 0.6], [0.5, 0.4]], [[0.7, 0.3], [0.8, 0.5]])
+    rng = np.random.default_rng(5)
+    w, h = 13, 9
+    left = (rng.random(h) < 0.5).astype(np.uint8) * 2
+    bottom = (rng.random(w) < 0.5).astype(np.uint8) * 2
+    return {
+        "colored10": sample_colored_cs6v(10, make_coloring(2, 3, FIELD), FIELD, 1),
+        "colored24": sample_colored_cs6v(24, make_coloring(1, 1, FIELD), FIELD, 2),
+        "two-colored": sample_two_colored_with_boundary(w, h, FIELD, left, bottom, 3),
+        "s6v-periodic": sample_s6v(11, 17, periodic, 4),
+    }
+
+
+SVG_CASES = _svg_cases()
+
+
+@pytest.mark.parametrize("style", [{}, {"cell": 17, "margin": 5, "offset": 1.25},
+                                   {"cell": 10, "margin": 0, "offset": 3.7}],
+                         ids=["default", "cell17", "cell10"])
+@pytest.mark.parametrize("name", sorted(SVG_CASES))
+def test_svg_equals_the_oracle(name, style):
+    e = SVG_CASES[name]
+    assert ensemble_svg(e, **style) == oracle_svg(e, **style)
+
+
+def test_svg_cases_draw_stubs_and_exits():
+    two = SVG_CASES["two-colored"]
+    assert two.boundary_left.any() and two.boundary_bottom.any()  # entry stubs
+    s6v = SVG_CASES["s6v-periodic"]
+    assert s6v.v_edges[:, -1].any() and s6v.h_edges[-1, :].any()  # top and right exits
+
+
+@pytest.mark.parametrize("comment", ["---", "----", "a-", "-", "--->", "a--b---c-", "<!--x-->"])
+def test_svg_comment_is_wellformed(comment):
+    svg = ensemble_svg(SVG_CASES["two-colored"], comment=comment)
+    ET.fromstring(svg)
+    body = svg.split("<!--", 1)[1].rsplit("-->", 1)[0]
+    assert "--" not in body and not body.endswith("-")
+
+
+@pytest.mark.parametrize("comment", ["a--b", "s6v -- check", "x -- y -- z", "plain", ""])
+def test_svg_comment_keeps_the_bytes_of_valid_output(comment):
+    body = comment.replace("--", "- -")
+    assert f"<!--{body}-->" in ensemble_svg(SVG_CASES["two-colored"], comment=comment)
