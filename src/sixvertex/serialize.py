@@ -161,13 +161,11 @@ def _int_items(items, inner: str) -> str | None:
 def json_chunks(doc, indent: str = "\n"):
     """Chunks of json.dumps(doc, indent=2, sort_keys=True), byte for byte;
     indent is the newline and indentation of doc's own level.  Scalars and
-    empty containers are json's own text."""
+    empty containers are json's own text; dict keys must be strings."""
     inner = indent + "  "
     if isinstance(doc, dict) and doc:
         for i, (k, v) in enumerate(sorted(doc.items())):
-            if not isinstance(k, str):  # json's text of a None, bool, int or float key
-                k = json.dumps(k) if k is None or isinstance(k, (int, float)) else None
-            yield f"{',' if i else '{'}{inner}{_quote(k)}: "  # _quote(None) is a TypeError
+            yield f"{',' if i else '{'}{inner}{_quote(k)}: "  # a TypeError unless k is a str
             yield from json_chunks(v, inner)
         yield indent + "}"
     elif isinstance(doc, (list, tuple)) and doc:

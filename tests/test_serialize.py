@@ -266,13 +266,11 @@ SCALARS = st.one_of(st.none(), INTS, FLOATS, FLOATS.map(np.float64),
 # the fast paths: lists of ints and lists of [int, int] pairs, bools included
 INT_LISTS = st.one_of(st.lists(INTS, max_size=5),
                       st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=4))
-KEYS = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.sampled_from([1.5, None, True]))
 DOCS = st.recursive(
     st.one_of(SCALARS, INT_LISTS),
     lambda kids: st.one_of(st.lists(kids, max_size=4),
                            st.lists(kids, max_size=3).map(tuple),
-                           st.dictionaries(st.text(max_size=4), kids, max_size=4),
-                           st.dictionaries(KEYS, kids, max_size=1)),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4)),
     max_leaves=12)
 
 
@@ -292,11 +290,9 @@ def test_json_text_edge_cases(doc):
     assert "".join(json_chunks(doc)) == _dumps(doc)
 
 
-@pytest.mark.parametrize("doc", [{1: "a", "b": 2}, [np.int64(1)], {(1, 2): 3}, [object()]],
-                         ids=["mixed keys", "numpy int", "tuple key", "object"])
-def test_json_text_rejects_what_json_rejects(doc):
-    with pytest.raises(TypeError):
-        _dumps(doc)
+@pytest.mark.parametrize("doc", [[np.int64(1)], {"a": [object()]}, {1: "a"}, {None: 2}],
+                         ids=["numpy int", "object", "int key", "None key"])
+def test_json_text_rejects_non_json_values_and_non_string_keys(doc):
     with pytest.raises(TypeError):
         "".join(json_chunks(doc))
 
