@@ -18,8 +18,7 @@ Binary layout (all integers little-endian):
                      boundary plane (width bits); each plane is packed
                      little-endian bit order and padded to whole 64-bit words.
 
-JSON text: ``json_chunks(doc)`` is ``json.dumps(doc, indent=2, sort_keys=True)``
-byte for byte; an ensemble's edge lists are formatted in one join each.
+JSON text: ``json_chunks(doc)`` is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -160,23 +159,25 @@ def _int_items(items, inner: str) -> str | None:
 
 def json_chunks(doc, indent: str = "\n"):
     """Chunks of json.dumps(doc, indent=2, sort_keys=True), byte for byte;
-    indent is the newline and indentation of doc's own level.  Scalars and
-    empty containers are json's own text; dict keys must be strings."""
+    indent is the newline and indentation of doc's own level.  Numbers are
+    written as json writes them; other scalars and empty containers are
+    json's own text.  Dict keys must be strings."""
     inner = indent + "  "
     if isinstance(doc, dict) and doc:
         for i, (k, v) in enumerate(sorted(doc.items())):
             yield f"{',' if i else '{'}{inner}{_quote(k)}: "  # a TypeError unless k is a str
             yield from json_chunks(v, inner)
         yield indent + "}"
+    elif isinstance(doc, (list, tuple)) and doc and (text := _int_items(doc, inner)) is not None:
+        yield f"[{inner}{text}{indent}]"
     elif isinstance(doc, (list, tuple)) and doc:
-        text = _int_items(doc, inner)
-        if text is not None:
-            yield f"[{inner}{text}{indent}]"
-            return
         for i, v in enumerate(doc):
             yield ("," if i else "[") + inner
             yield from json_chunks(v, inner)
         yield indent + "]"
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        text = (float.__repr__ if isinstance(doc, float) else int.__repr__)(doc)
+        yield {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
     else:
         yield json.dumps(doc)
 
