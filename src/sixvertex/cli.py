@@ -359,9 +359,9 @@ def _cmd_sample(cfg: RunConfig) -> int:
     replica = _check_number(o, "replica", 0, MAX_SEED)
     field = _load_field(o)
     model = o["model"]
-    ignored = cfg.explicit & ({"width", "height"} if model == "colored" else {"blocks", "dir"})
-    if ignored:
-        raise ConfigError(f"--model {model} takes no --{', --'.join(sorted(ignored))}")
+    unread = {"workers"} | ({"width", "height"} if model == "colored" else {"blocks", "dir"})
+    if ignored := cfg.explicit & unread:  # one sample is one process: no model reads --workers
+        raise ConfigError(f"sample --model {model} takes no --{', --'.join(sorted(ignored))}")
     if model == "colored":
         x, y = _parse_direction(o["dir"])
         blocks = _check_number(o, "blocks", 1, MAX_COLORS)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,23 +79,21 @@ def sample_pointset(width: int, height: int, p: float, seed: int,
     return PointSet(width, height, grid)
 
 
-def _chain_rows(width: int, point_rows):
-    """Yield the longest-chain heights H[:, y] (length width + 1) after each
-    row of point indicators; the yielded array is overwritten by the next."""
-    H = np.zeros(width + 1, dtype=np.int64)
-    for points in point_rows:
-        H[1:] = np.maximum.accumulate(np.maximum(H[1:], H[:-1] + points))
-        yield H
+def _chain_heights(grid: np.ndarray) -> np.ndarray:
+    """hammersley_height of the point grids grid[..., :, :], for any leading axes."""
+    *lead, width, height = grid.shape
+    H = np.zeros((*lead, width + 1, height + 1), dtype=np.int64)
+    for y in range(1, height + 1):  # the chain step, row by row
+        H[..., 1:, y] = np.maximum.accumulate(
+            np.maximum(H[..., 1:, y - 1], H[..., :-1, y - 1] + grid[..., y - 1]), axis=-1)
+    return H
 
 
 def hammersley_height(ps: PointSet) -> np.ndarray:
     """Longest-chain height: entry [x, y] is the maximal number of points of
     ps below-left of (x, y) forming a chain that strictly increases in both
     coordinates.  Shape (width+1, height+1)."""
-    H = np.zeros((ps.width + 1, ps.height + 1), dtype=np.int64)
-    for y, row in enumerate(_chain_rows(ps.width, ps.grid.T), start=1):
-        H[:, y] = row
-    return H
+    return _chain_heights(ps.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +133,27 @@ def enumerate_cs6v_height_distribution(width: int, height: int,
     return dist
 
 
+@lru_cache(maxsize=None)
+def _subset_heights(width: int, height: int) -> tuple:
+    """(corner height, point count) of each point subset, in itertools.product
+    order over grid[x, y] (y fastest), from one _chain_heights call."""
+    bits = np.arange(1 << width * height)[:, None] >> np.arange(width * height)[::-1] & 1
+    corner = _chain_heights(bits.reshape(len(bits), width, height))[:, width, height]
+    return tuple(zip(corner.tolist(), bits.sum(axis=1).tolist()))
+
+
 def enumerate_hammersley_distribution(width: int, height: int,
                                       p: float) -> dict[int, float]:
     """Exact law of the longest-chain height at (width, height) for the
-    Bernoulli(p) point field, by summing over all point subsets."""
+    Bernoulli(p) point field, summed over the point subsets of _subset_heights."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     cells = width * height
     if cells > MAX_ENUM_CELLS:
         raise ValueError(f"enumeration limited to {MAX_ENUM_CELLS} cells")
     dist: dict[int, float] = {}
-    for bits in itertools.product((0, 1), repeat=cells):
-        grid = np.array(bits, dtype=bool).reshape(width, height)
-        ones = sum(bits)
-        prob = (p ** ones) * ((1.0 - p) ** (cells - ones))
-        h = int(hammersley_height(PointSet(width, height, grid))[width, height])
-        dist[h] = dist.get(h, 0.0) + prob
+    for h, ones in _subset_heights(width, height):
+        dist[h] = dist.get(h, 0.0) + (p ** ones) * ((1.0 - p) ** (cells - ones))
     return dist
 
 

@@ -257,16 +257,16 @@ def _replay_s6v(field: ParameterField, coins) -> tuple[np.ndarray, np.ndarray]:
     line continues north iff u1 < b1, a lone west line east iff u2 < b2."""
     height, width = len(coins), len(coins[0][0])
     v, hE = np.zeros((2, width, height), dtype=np.uint8)
-    south = [0] * width
-    for y, (u1, u2) in enumerate(coins, start=1):
-        west, east = 1, []
-        for x, c1, c2 in zip(range(1, width + 1), u1.tolist(), u2.tolist()):
-            b1, b2 = field.at(x, y)
-            s = south[x - 1]
+    south, table = [0] * width, np.stack((field.b1, field.b2), axis=-1).tolist()
+    for y, (u1, u2) in enumerate(coins):
+        west, east, row = 1, [], [col[y % field.J] for col in table]  # row[x % I] = at(x+1, y+1)
+        for x, c1, c2 in zip(range(width), u1.tolist(), u2.tolist()):
+            b1, b2 = row[x % field.I]
+            s = south[x]
             north = s if s == west else int(c1 < b1 if s else c2 >= b2)
-            south[x - 1], west = north, s + west - north
+            south[x], west = north, s + west - north
             east.append(west)
-        v[:, y - 1], hE[:, y - 1] = south, east
+        v[:, y], hE[:, y] = south, east
     return v, hE
 
 
@@ -526,11 +526,11 @@ def _lane_coin_rows(seed: int, replicas, widths, heights, stride: int,
     thr = np.zeros((field.J, stride, 2), dtype=np.uint64)  # guard bits are never swept
     thr[:, 1:] = field._thresholds[cols[:-1] % field.I].transpose(1, 0, 2)
     drawn = (cols >= 1) & (cols <= widths[:, None])
-    buf = np.zeros((len(widths), stride, 2), dtype=np.uint64)
+    buf = np.zeros((len(widths), stride, 2), dtype=np.uint64)  # as V16: one item (w1, w2) per cell
     for y in range(1, int(heights.max()) + 1):
         live = heights >= y
-        buf[drawn & live[:, None]] = rng.lane_words(
-            seed, np.asarray(replicas)[live].tolist(), y, widths[live].tolist()).reshape(-1, 2)
+        buf.view("V16")[..., 0][drawn & live[:, None]] = rng.lane_words(
+            seed, np.asarray(replicas)[live].tolist(), y, widths[live].tolist()).view("V16")
         below = np.right_shift(buf, 11, out=buf) < thr[(y - 1) % field.J]
         yield _packed(below[..., 0]), mask & ~_packed(below[..., 1])
 

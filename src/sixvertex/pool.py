@@ -13,7 +13,9 @@ WORKERS_ENV = "SIXVERTEX_WORKERS"
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count: the env override wins, then the request, then 1."""
+    """Worker count: the env override wins, then the request (>= 1), then 1."""
+    if requested is not None and requested < 1:
+        raise ValueError(f"--workers must be an integer >= 1, got {requested}")
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
         try:
@@ -23,7 +25,7 @@ def resolve_workers(requested: int | None) -> int:
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}") from None
         return n
-    return max(1, requested or 1)
+    return requested or 1
 
 
 def run_tasks(fn, args_list, workers: int = 1) -> list:

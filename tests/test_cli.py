@@ -104,6 +104,15 @@ def test_config_file_layering(tmp_path):
     (["hammersley", "--seed", "1", "--sizes", "20", "--tol", "-0.1"], "--tol"),
     # size 2 in direction (1, 1/3) floors to the point (2, 0)
     (["converge", "--seed", "1", "--dir", "1,1/3", "--sizes", "2,30"], "empty box"),
+    # a worker count below 1 is not read as 1
+    (["converge", "--seed", "1", "--sizes", "10", "--replicas", "1", "--workers", "0"],
+     "--workers"),
+    (["converge", "--seed", "1", "--sizes", "10", "--replicas", "1", "--workers", "-7"],
+     "--workers"),
+    (["verify", "--seed", "1", "--n", "1", "--trials", "1", "--replicas", "2",
+      "--workers", "0"], "--workers"),
+    (["hammersley", "--seed", "1", "--law-max", "1", "--coupling-seeds", "1",
+      "--width", "4", "--height", "4", "--workers", "-7"], "--workers"),
 ])
 def test_config_errors_are_json_on_stderr(argv, fragment, capsys):
     rc = main(argv)
@@ -327,6 +336,14 @@ def test_non_integer_workers_in_config_is_a_config_error(tmp_path, monkeypatch, 
     assert "--workers" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+def test_workers_below_one_win_over_the_env(monkeypatch, capsys):
+    monkeypatch.setenv("SIXVERTEX_WORKERS", "2")
+    rc = main(["converge", "--seed", "1", "--sizes", "10", "--replicas", "1",
+               "--workers", "0"])
+    assert rc == 2
+    assert "--workers" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_hammersley_subcommand(tmp_path, capsys):
     report = tmp_path / "h.json"
     rc = main(["hammersley", "--seed", "2", "--p", "0.5", "--width", "20",
@@ -376,6 +393,9 @@ def test_integral_float_config_sizes_are_accepted(tmp_path):
     (["--model", "colored"], {"height": 5}),
     (["--model", "cs6v", "--blocks", "2"], {}),
     (["--model", "s6v"], {"dir": "1,1"}),
+    # one sample runs in one process, so no model reads a worker count
+    (["--model", "cs6v", "--workers", "2"], {}),
+    (["--model", "colored"], {"workers": 1}),
 ])
 def test_sample_rejects_options_its_model_ignores(argv, config, tmp_path, capsys):
     cfg = tmp_path / "conf.json"

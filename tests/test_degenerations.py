@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from hammersley_oracle import hammersley_distribution
 from sixvertex.degenerations import (
+    MAX_ENUM_CELLS,
     PointSet,
     enumerate_cs6v_height_distribution,
     enumerate_hammersley_distribution,
@@ -93,6 +95,24 @@ def test_exact_law_enumerators_are_probability_laws():
     from sixvertex.lattice import make_field
     law2 = enumerate_cs6v_height_distribution(3, 2, make_field(0.0, 0.6))
     assert sum(law2.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+BOXES = [(w, h) for w in range(1, MAX_ENUM_CELLS + 1)
+         for h in range(1, MAX_ENUM_CELLS // w + 1)]
+
+
+@pytest.mark.parametrize("w, h", BOXES)
+def test_exact_law_matches_the_per_subset_oracle(w, h):
+    # same keys, same floats, same insertion order
+    for p in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
+        law = enumerate_hammersley_distribution(w, h, p)
+        assert list(law.items()) == list(hammersley_distribution(w, h, p).items())
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+def test_exact_law_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        enumerate_hammersley_distribution(2, 2, p)
 
 
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
