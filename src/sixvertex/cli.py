@@ -208,23 +208,24 @@ def _parse_sizes(text) -> list[int]:
     return sizes
 
 
-def _load_field(options: dict) -> ParameterField:
-    """The field from --p (b1 = 0, b2 = 1 - p), a --field file, or --b1/--b2."""
-    path = options.get("field")
-    if options.get("p") is not None:
-        if path:
-            raise ConfigError("--p and --field cannot be combined")
-        p = _check_number(options, "p", 0, 1, open_interval=True)
-        return make_field(0.0, 1.0 - p)
-    if path:
+def _load_field(cfg: RunConfig) -> ParameterField:
+    """The field from --p (b1 = 0, b2 = 1 - p), a --field file, or --b1/--b2;
+    the first two give the whole field, so neither is combined with another."""
+    o = cfg.options
+    given = [k for k in ("p", "field", "b1", "b2") if k in cfg.explicit and o[k] is not None]
+    if len(given) > 1 and given[0] in ("p", "field"):
+        raise ConfigError(f"--{' and --'.join(given)} cannot be combined")
+    if o.get("p") is not None:
+        return make_field(0.0, 1.0 - _check_number(o, "p", 0, 1, open_interval=True))
+    if path := o.get("field"):
         try:
             with open(path) as f:
                 data = json.load(f)
             return make_field(data["b1"], data["b2"])
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad field file {path!r}: {exc}") from exc
-    return make_field(_check_number(options, "b1", 0, 1),
-                      _check_number(options, "b2", 0, 1))
+    return make_field(_check_number(o, "b1", 0, 1),
+                      _check_number(o, "b2", 0, 1))
 
 
 def _workers(options: dict) -> int:
@@ -245,7 +246,7 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _finish_battery(cfg: RunConfig, checks: list[VerificationReport],
-                    extra: dict | None = None, tally: bool = False) -> int:
+                    tally: bool = False) -> int:
     """Print the check summaries and the status line (tally: with passed/total),
     write the sixvertex-<command>-report to --out, return the exit status."""
     for c in checks:
@@ -261,22 +262,8 @@ def _finish_battery(cfg: RunConfig, checks: list[VerificationReport],
             "config": cfg.provenance(),
             "passed": passed,
             "checks": [c.to_dict() for c in checks],
-            **(extra or {}),
         })
     return 0 if passed else 1
-
-
-def _run_convergence(options: dict, field: ParameterField, model: str,
-                     seed: int, workers: int):
-    """The convergence experiment that the dir, sizes and replicas options ask for."""
-    direction = _parse_direction(options["dir"])
-    sizes = _parse_sizes(options["sizes"])
-    replicas = _check_number(options, "replicas", 1, None)
-    try:
-        return convergence_experiment(direction, field, sizes, replicas, seed,
-                                      model=model, workers=workers)
-    except ValueError as exc:  # the experiment checks its inputs before sampling
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +273,17 @@ def _run_convergence(options: dict, field: ParameterField, model: str,
 def _cmd_verify(cfg: RunConfig) -> int:
     o = cfg.options
     seed = _require_seed(o, count=5)  # the coupling check uses seed..seed+4
-    n = _check_number(o, "n", 1, None)
+    n = _check_number(o, "n", 1, 4)
     trials = _check_number(o, "trials", 1, None)
     max_size = _check_number(o, "max_size", 1, None)
     replicas = _check_number(o, "replicas", 2, None)
-    field = _load_field(o)
+    field = _load_field(cfg)
     workers = _workers(o)
 
     checks: list[VerificationReport] = []
 
     # Symbolic/exact layer.
-    for k in range(1, min(n, 4) + 1):
+    for k in range(1, n + 1):
         checks.append(lmatrix.verify_stochastic(k))
     for k in range(1, min(n, 3) + 1):
         for m in range(1, k + 1):
@@ -357,7 +344,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
     o = cfg.options
     seed = _require_seed(o)
     replica = _check_number(o, "replica", 0, MAX_SEED)
-    field = _load_field(o)
+    field = _load_field(cfg)
     model = o["model"]
     unread = {"workers"} | ({"width", "height"} if model == "colored" else {"blocks", "dir"})
     if ignored := cfg.explicit & unread:  # one sample is one process: no model reads --workers
@@ -396,11 +383,19 @@ def _cmd_converge(cfg: RunConfig) -> int:
     model = o["model"]
     if o.get("p") is not None and model != "hammersley":
         raise ConfigError("--p applies only to --model hammersley")
-    field = _load_field(o)
+    field = _load_field(cfg)
     tol = None if o.get("tol") is None else _check_number(o, "tol", 0, None)
     if tol is not None and (field.I, field.J) != (1, 1):  # checked before sampling
         raise ConfigError("--tol needs a homogeneous field (known reference)")
-    report = _run_convergence(o, field, model, seed, _workers(o))
+    workers = _workers(o)
+    direction = _parse_direction(o["dir"])
+    sizes = _parse_sizes(o["sizes"])
+    replicas = _check_number(o, "replicas", 1, None)
+    try:
+        report = convergence_experiment(direction, field, sizes, replicas, seed,
+                                        model=model, workers=workers)
+    except ValueError as exc:  # the experiment checks its inputs before sampling
+        raise ConfigError(str(exc)) from None
     meta = cfg.provenance()
     if o.get("csv"):
         with open(o["csv"], "w") as f:
@@ -427,8 +422,6 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
     w, h = _check_number(o, "width", 1, None), _check_number(o, "height", 1, None)
     nseeds = _check_number(o, "coupling_seeds", 1, None)
     seed = _require_seed(o, count=nseeds)
-    tol = None if o.get("tol") is None else _check_number(o, "tol", 0, None)
-    workers = _workers(o)
 
     checks: list[VerificationReport] = []
     for side in range(1, law_max + 1):
@@ -447,24 +440,7 @@ def _cmd_hammersley(cfg: RunConfig) -> int:
                 ident.fail(f"limit mismatch at ({xv}, {yv}): {lhs} vs {rhs}")
     checks.append(ident)
 
-    extra = {}
-    if o.get("sizes"):
-        report = _run_convergence(o, make_field(0.0, 1.0 - p), "hammersley",
-                                  seed, workers)
-        extra["convergence"] = report.to_json_dict(cfg.provenance())
-        line = (f"convergence: final mean {report.final_mean:.6f}"
-                + (f", reference {report.reference:.6f}"
-                   if report.reference is not None else ""))
-        print(line)
-        if tol is not None and report.reference is not None:
-            gate = VerificationReport("convergence tolerance")
-            gate.cases += 1
-            if abs(report.final_mean - report.reference) > tol:
-                gate.fail(f"|{report.final_mean:.6f} - {report.reference:.6f}| "
-                          f"> {o['tol']}")
-            checks.append(gate)
-
-    return _finish_battery(cfg, checks, extra)
+    return _finish_battery(cfg, checks)
 
 
 def _cmd_export_golden(cfg: RunConfig) -> int:
@@ -489,7 +465,7 @@ OPTIONS: dict[str, tuple[type, str]] = {
     "seed": (int, "base RNG seed (required)"),
     "workers": (int, "process count for replica-parallel work"),
     "model": (str, "which model to sample"),
-    "n": (int, "max color count for exact checks"),
+    "n": (int, "max color count for exact checks, at most 4"),
     "b1": (float, "cross probability (homogeneous field)"),
     "b2": (float, "no-nucleation probability (homogeneous field)"),
     "field": (str, "JSON file with b1/b2 matrices"),
@@ -540,8 +516,7 @@ COMMANDS: dict[str, Command] = {
     }, choices={"model": ("s6v", "cs6v", "hammersley")}),
     "hammersley": Command(_cmd_hammersley, "degeneration checks", {
         "seed": None, "p": 0.25, "width": 60, "height": 60,
-        "coupling_seeds": 10, "law_max": 3, "sizes": None, "replicas": 8,
-        "dir": "1,1", "tol": None, "workers": None, "out": None,
+        "coupling_seeds": 10, "law_max": 3, "out": None,
     }),
     "export-golden": Command(_cmd_export_golden,
                              "print the two-color weight table", {"out": None}),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .lattice import ParameterField, height_H, make_field, sample_cs6v
-from .lmatrix import _key_codes, fold_projection, l1_weight
+from .lmatrix import VERIFY_TOL, _key_codes, fold_projection, l1_weight
 from .report import VerificationReport
 from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, render
 
@@ -157,8 +157,7 @@ def enumerate_hammersley_distribution(width: int, height: int,
     return dist
 
 
-def verify_hammersley_equivalence(width: int, height: int, p: float,
-                                  tol: float = 1e-12) -> VerificationReport:
+def verify_hammersley_equivalence(width: int, height: int, p: float) -> VerificationReport:
     """The two exact corner laws agree: complemented model at (0, 1-p) versus
     longest-chain height of Bernoulli(p) points."""
     rep = VerificationReport(f"hammersley law {width}x{height} p={p}")
@@ -167,7 +166,7 @@ def verify_hammersley_equivalence(width: int, height: int, p: float,
     for k in sorted(set(da) | set(db)):
         rep.cases += 1
         pa, pb = da.get(k, 0.0), db.get(k, 0.0)
-        if abs(pa - pb) > tol:
+        if abs(pa - pb) > VERIFY_TOL:
             rep.fail(f"P(H={k}): {pa!r} vs {pb!r}")
     rep.details["law"] = {str(k): db.get(k, 0.0) for k in sorted(db)}
     return rep

@@ -17,7 +17,7 @@ rows, so a replica holds O(width) state, never a box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +42,9 @@ from .lattice import (
 )
 from .lmatrix import MAX_COLORS
 from .report import VerificationReport
+
+#: Significance level of the two KS tests in verify_ergodic_hypotheses.
+KS_ALPHA = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +182,13 @@ def _shell_count_task(args):
 
 
 def verify_ergodic_hypotheses(direction, field: ParameterField, k: int,
-                              replicas: int, seed: int, alpha: float = 0.01,
-                              workers: int = 1) -> VerificationReport:
+                              replicas: int, seed: int, workers: int = 1) -> VerificationReport:
     """Empirical check of the superadditive ergodic theorem's hypotheses for
     the array X(m, n) along a rational direction.
 
     Samples 2k-shell colored boxes and tests: distributional invariance of
-    X(m, m+k) under m -> m+k and under m -> m+1 (two-sample KS at the given
-    significance), nonnegativity, and finite means (reported).  The KS test
+    X(m, m+k) under m -> m+k and under m -> m+1 (two-sample KS at significance
+    KS_ALPHA), nonnegativity, and finite means (reported).  The KS test
     is scipy's asymptotic two-sided one (see kstest), which needs replicas
     >= 2: with one replica per side its effective sample size rounds to 0.
 
@@ -212,11 +214,11 @@ def verify_ergodic_hypotheses(direction, field: ParameterField, k: int,
     if min(x0k.min(), xk2k.min(), x1k1.min()) < 0:
         rep.fail("negative line count")
     p_shift_k = ks_2samp_pvalue(x0k, xk2k)
-    if p_shift_k <= alpha:
-        rep.fail(f"X(0,k) vs X(k,2k): KS p={p_shift_k:.4g} <= {alpha}")
+    if p_shift_k <= KS_ALPHA:
+        rep.fail(f"X(0,k) vs X(k,2k): KS p={p_shift_k:.4g} <= {KS_ALPHA}")
     p_shift_1 = ks_2samp_pvalue(x0k, x1k1)
-    if p_shift_1 <= alpha:
-        rep.fail(f"X(0,k) vs X(1,k+1): KS p={p_shift_1:.4g} <= {alpha}")
+    if p_shift_1 <= KS_ALPHA:
+        rep.fail(f"X(0,k) vs X(1,k+1): KS p={p_shift_1:.4g} <= {KS_ALPHA}")
     rep.details.update({
         "mean_X0k": float(x0k.mean()),
         "mean_Xk2k": float(xk2k.mean()),
@@ -247,7 +249,6 @@ class ConvergenceReport:
     ratios: np.ndarray
     reference: float | None
     seed: int
-    extra: dict = dataclass_field(default_factory=dict)
 
     @property
     def final_mean(self) -> float:
@@ -297,7 +298,6 @@ class ConvergenceReport:
         }
         if meta is not None:
             out["meta"] = meta
-        out.update(self.extra)
         return out
 
 

@@ -35,9 +35,9 @@ from .weights import (B1, B1_B2, B1_ONE_MINUS_B2, B2, ONE, ONE_MINUS_B1, ONE_MIN
 
 MAX_COLORS = 32
 
-# Default parameter grid for numeric verifiers: the coarse lattice
+# Parameter grid of the numeric verifiers: the coarse lattice
 # {0, 0.3, 0.7, 1}^2, which includes the degenerate corners (0,1) and (1,0).
-DEFAULT_GRID: tuple[tuple[float, float], ...] = tuple(
+VERIFY_GRID: tuple[tuple[float, float], ...] = tuple(
     itertools.product((0.0, 0.3, 0.7, 1.0), repeat=2)
 )
 
@@ -303,7 +303,7 @@ def _exact_misses(vals: np.ndarray, want) -> np.ndarray:
     return got
 
 
-def verify_stochastic(n: int, grid=DEFAULT_GRID) -> VerificationReport:
+def verify_stochastic(n: int) -> VerificationReport:
     """Row sums of the n-color weights equal 1 with nonnegative entries.
 
     Checks every (south, west) input pair: numerically on each grid parameter
@@ -319,28 +319,28 @@ def verify_stochastic(n: int, grid=DEFAULT_GRID) -> VerificationReport:
     families = np.array([sorted([0] * (4 - len(f)) + [w.code for w in f]) for f in _ROW_FAMILIES])
     unity = (np.count_nonzero(rows, axis=1) <= 4) & \
         (np.sort(rows, axis=1)[:, None, -4:] == families).all(axis=2).any(axis=1)
-    negative = np.zeros((len(grid), len(rows)), dtype=bool)
-    sums = np.empty((len(grid), len(rows)))
-    for g, (b1, b2) in enumerate(grid):  # one grid point at a time: 16^n floats
+    negative = np.zeros((len(VERIFY_GRID), len(rows)), dtype=bool)
+    sums = np.empty((len(VERIFY_GRID), len(rows)))
+    for g, (b1, b2) in enumerate(VERIFY_GRID):  # one grid point at a time: 16^n floats
         vals = np.array(weights.eval_table(b1, b2))[rows]
         negative[g], sums[g] = vals.min(axis=1) < 0.0, _exact_misses(vals, 1.0)
-    rep.cases += len(rows) * (1 + len(grid))
+    rep.cases += len(rows) * (1 + len(VERIFY_GRID))
     for row in np.flatnonzero(~unity | negative.any(0) | ~np.isnan(sums).all(0)).tolist():
         i, j = divmod(row, size)
         if not unity[row]:
             rep.fail(f"row ({format_colors(i, n)},{format_colors(j, n)}): weights not a "
                      f"unity family: {tuple(sorted(c for c in rows[row].tolist() if c))}")
-        for g, (b1, b2) in enumerate(grid):
+        for g, (b1, b2) in enumerate(VERIFY_GRID):
             if negative[g, row]:
                 rep.fail(f"negative weight in row ({i},{j}) at ({b1},{b2})")
             if not np.isnan(sums[g, row]):
                 rep.fail(f"row ({format_colors(i, n)},{format_colors(j, n)}) "
                          f"sums to {float(sums[g, row])!r} at (b1,b2)=({b1},{b2})")
-    rep.details["grid"] = list(grid)
+    rep.details["grid"] = list(VERIFY_GRID)
     return rep
 
 
-def _fiber_check(rep: VerificationReport, n: int, proj, m: int, grid, head: str,
+def _fiber_check(rep: VerificationReport, n: int, proj, m: int, head: str,
                  target: str) -> VerificationReport:
     """Summing the n-color law over the output fibers of a color projection
     (proj[v] is the m-color word of the n-color word v) gives the m-color law
@@ -353,20 +353,20 @@ def _fiber_check(rep: VerificationReport, n: int, proj, m: int, grid, head: str,
         size, size, psize, tail, psize, tail).transpose(0, 1, 2, 4, 3, 5).reshape(
         size, size, psize, psize, -1)
     mcodes = _key_codes(m)[proj[:, None], proj]
-    tables = np.array([weights.eval_table(b1, b2) for b1, b2 in grid])
-    got = np.empty(mcodes.shape + (len(grid),))  # the grid point varies fastest
+    tables = np.array([weights.eval_table(b1, b2) for b1, b2 in VERIFY_GRID])
+    got = np.empty(mcodes.shape + (len(VERIFY_GRID),))  # the grid point varies fastest
     for g, tbl in enumerate(tables):
         got[..., g] = _exact_misses(tbl[codes], tbl[mcodes])
     rep.cases += got.size
     for i, j, kp, lp, g in np.argwhere(~np.isnan(got)).tolist():
-        b1, b2 = grid[g]
+        b1, b2 = VERIFY_GRID[g]
         rep.fail(f"{head} i={format_colors(i, n)} j={format_colors(j, n)} "
                  f"{target}=({format_colors(kp, m)},{format_colors(lp, m)}) at ({b1},{b2}): "
                  f"{float(got[i, j, kp, lp, g])!r} vs {float(tables[g, mcodes[i, j, kp, lp]])!r}")
     return rep
 
 
-def verify_color_ignorance(n: int, m: int, grid=DEFAULT_GRID) -> VerificationReport:
+def verify_color_ignorance(n: int, m: int) -> VerificationReport:
     """Summing the n-color law over the last n-m colors gives the m-color law.
 
     For every input pair and every prefix output pair, the sum of evaluated
@@ -376,11 +376,11 @@ def verify_color_ignorance(n: int, m: int, grid=DEFAULT_GRID) -> VerificationRep
     if not 1 <= n <= 3 or not 1 <= m <= n:
         raise ValueError("color-ignorance enumeration limited to 1 <= m <= n <= 3")
     return _fiber_check(VerificationReport(f"color ignorance n={n} m={m}"), n,
-                        np.arange(1 << n) & ((1 << m) - 1), m, grid,
+                        np.arange(1 << n) & ((1 << m) - 1), m,
                         "marginal mismatch", "prefix")
 
 
-def verify_mod2_erasure(n: int, cuts: tuple[int, ...], grid=DEFAULT_GRID) -> VerificationReport:
+def verify_mod2_erasure(n: int, cuts: tuple[int, ...]) -> VerificationReport:
     """Merging consecutive color blocks by parity maps the n-color law to the
     m-block law: summing over fibers of the block projection matches the
     m-color weight of the projected key within 1e-12 on the grid."""
@@ -389,10 +389,10 @@ def verify_mod2_erasure(n: int, cuts: tuple[int, ...], grid=DEFAULT_GRID) -> Ver
     validate_partition(cuts, n)
     return _fiber_check(VerificationReport(f"mod-2 erasure n={n} cuts={cuts}"), n,
                         [partition_projection(v, cuts, n) for v in range(1 << n)],
-                        len(cuts), grid, f"erasure mismatch cuts={cuts}", "target")
+                        len(cuts), f"erasure mismatch cuts={cuts}", "target")
 
 
-def verify_sampler_matrix(n: int, grid=DEFAULT_GRID) -> VerificationReport:
+def verify_sampler_matrix(n: int) -> VerificationReport:
     """The two-coin sampler induces exactly the enumerated vertex law.
 
     For every input pair and grid parameter pair, the law accumulated over
@@ -404,8 +404,8 @@ def verify_sampler_matrix(n: int, grid=DEFAULT_GRID) -> VerificationReport:
     rep = VerificationReport(f"sampler law n={n}")
     size = 1 << n
     codes = _key_codes(n).reshape(size, size, -1)  # output (k, l) at k * size + l
-    bad = np.zeros((size, size, len(grid)), dtype=bool)
-    for g, (b1, b2) in enumerate(grid):
+    bad = np.zeros((size, size, len(VERIFY_GRID)), dtype=bool)
+    for g, (b1, b2) in enumerate(VERIFY_GRID):
         dist, law = np.array(weights.eval_table(b1, b2))[codes], np.zeros(codes.shape)
         for cross, nuc in itertools.product((0, 1), repeat=2):  # coin_law's order
             hit = outcome_table(n)[:, :, cross, nuc, None] == np.arange(size * size)
@@ -413,7 +413,7 @@ def verify_sampler_matrix(n: int, grid=DEFAULT_GRID) -> VerificationReport:
         rep.cases += int(((law > 0.0) | (codes != 0)).sum())  # outcomes of either law
         bad[:, :, g] = (np.abs(law - dist) > VERIFY_TOL).any(axis=2)
     for i, j, g in np.argwhere(bad).tolist():
-        b1, b2 = grid[g]
+        b1, b2 = VERIFY_GRID[g]
         law_ij, dist_ij = coin_law(i, j, n, b1, b2), ln_distribution(i, j, n, b1, b2).as_dict()
         for key in set(law_ij) | set(dist_ij):
             if abs(law_ij.get(key, 0.0) - dist_ij.get(key, 0.0)) > VERIFY_TOL:

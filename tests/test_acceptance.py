@@ -96,7 +96,7 @@ def test_04_collapse_equals_modified_min():
 def test_05_point_process_degeneration():
     for w, h in itertools.product((1, 2, 3), repeat=2):
         for p in (0.25, 0.5, 0.75):
-            rep = verify_hammersley_equivalence(w, h, p, tol=1e-12)
+            rep = verify_hammersley_equivalence(w, h, p)
             assert rep.passed, rep.summary()
     rep = verify_hammersley_coupling(100, 100, 0.25, range(SEED, SEED + 20))
     assert rep.passed, rep.summary()

@@ -12,6 +12,7 @@ from sixvertex.cli import main
 from sixvertex.serialize import read_ensemble
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "l2_golden.txt"
+README_PATH = Path(__file__).parent.parent / "README.md"
 
 
 def test_export_golden_matches_frozen_file(tmp_path, capsys):
@@ -101,7 +102,8 @@ def test_config_file_layering(tmp_path):
     (["hammersley", "--seed", str(2**64 - 3), "--coupling-seeds", "4"], "--seed"),
     # a tolerance is a nonnegative number, checked before any sampling
     (["converge", "--seed", "1", "--tol", "-0.1"], "--tol"),
-    (["hammersley", "--seed", "1", "--sizes", "20", "--tol", "-0.1"], "--tol"),
+    # hammersley runs no convergence experiment: converge --model hammersley does
+    (["hammersley", "--seed", "1", "--sizes", "20", "--tol", "-0.1"], "--sizes"),
     # size 2 in direction (1, 1/3) floors to the point (2, 0)
     (["converge", "--seed", "1", "--dir", "1,1/3", "--sizes", "2,30"], "empty box"),
     # a worker count below 1 is not read as 1
@@ -113,6 +115,16 @@ def test_config_file_layering(tmp_path):
       "--workers", "0"], "--workers"),
     (["hammersley", "--seed", "1", "--law-max", "1", "--coupling-seeds", "1",
       "--width", "4", "--height", "4", "--workers", "-7"], "--workers"),
+    # the exact layer enumerates at most 4 colors, and a larger n is not read as 4
+    (["verify", "--seed", "1", "--n", "9", "--trials", "1", "--replicas", "2"], "--n"),
+    # --p and --field give the whole field, so a --b1/--b2 next to them is not read
+    (["converge", "--seed", "1", "--sizes", "10", "--replicas", "1", "--field", "field.json",
+      "--b1", "0.9"], "--b1"),
+    (["converge", "--seed", "1", "--model", "hammersley", "--p", "0.25", "--b1", "0.9",
+      "--sizes", "10", "--replicas", "1"], "--b1"),
+    (["converge", "--seed", "1", "--model", "hammersley", "--p", "0.25", "--b2", "0.75",
+      "--sizes", "10", "--replicas", "1"], "--b2"),
+    (["sample", "--seed", "1", "--field", "field.json", "--b2", "0.5"], "--b2"),
 ])
 def test_config_errors_are_json_on_stderr(argv, fragment, capsys):
     rc = main(argv)
@@ -162,9 +174,7 @@ DEFAULT_OPTIONS = {
                  ("b2", 0.7), ("p", None), ("field", None), ("tol", None),
                  ("workers", None), ("csv", None), ("json", None)],
     "hammersley": [("seed", None), ("p", 0.25), ("width", 60), ("height", 60),
-                   ("coupling_seeds", 10), ("law_max", 3), ("sizes", None),
-                   ("replicas", 8), ("dir", "1,1"), ("tol", None),
-                   ("workers", None), ("out", None)],
+                   ("coupling_seeds", 10), ("law_max", 3), ("out", None)],
     "export-golden": [("out", None)],
 }
 EXECUTION = {"workers", "out", "json", "csv", "svg"}
@@ -200,6 +210,18 @@ def test_every_flag_is_a_config_key(command, tmp_path, monkeypatch, capsys):
             cfg.write_text(json.dumps({spelling: defaults[key]}))
             resolved = _resolved_options(command, monkeypatch, ["--config", str(cfg)])
             assert resolved.options == defaults, spelling
+
+
+def test_readme_commands_use_declared_flags():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README_PATH.read_text(), re.M | re.S)
+    commands = [line.split() for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("sixvertex ")]
+    assert len(commands) >= 5
+    for _, command, *args in commands:
+        declared = {"--" + key.replace("_", "-") for key in cli.COMMANDS[command].defaults}
+        flags = {a for a in args if a.startswith("--")}
+        assert flags <= declared | {"--config"}, (command, flags - declared)
 
 
 def test_verify_quick_battery(tmp_path, capsys):
@@ -276,6 +298,38 @@ def test_tol_without_reference_fails_before_sampling(tmp_path, capsys):
     assert "--tol" in json.loads(captured.err)["error"]["message"]
     assert captured.out == ""
     assert not csv_path.exists() and not json_path.exists()
+
+
+@pytest.mark.parametrize("argv, config, ignored", [
+    (["converge", "--field", "FIELD", "--b1", "0.9"], {}, {"b1"}),
+    (["converge"], {"field": "FIELD", "b2": 0.5}, {"b2"}),
+    (["converge", "--field", "FIELD"], {"b1": 0.3, "b2": 0.7}, {"b1", "b2"}),
+    (["converge", "--model", "hammersley"], {"p": 0.25, "b1": 0.0}, {"b1"}),
+    (["sample", "--field", "FIELD"], {"b1": 0.3}, {"b1"}),
+])
+def test_b1_b2_next_to_a_whole_field_are_rejected(argv, config, ignored, tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"b1": 0.3, "b2": 0.7}))
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({k: str(field) if v == "FIELD" else v
+                               for k, v in config.items()}))
+    argv = [str(field) if a == "FIELD" else a for a in argv]
+    size = ["--sizes", "10", "--replicas", "1"] if argv[0] == "converge" else []
+    assert main([*argv, "--seed", "1", *size, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    message = json.loads(captured.err)["error"]["message"]
+    assert all(f"--{k}" in message for k in ignored) and captured.out == ""
+
+
+def test_a_whole_field_alone_is_read(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"b1": 0.3, "b2": 0.7}))
+    assert main(["converge", "--seed", "1", "--sizes", "10", "--replicas", "1",
+                 "--field", str(field)]) == 0
+    assert "reference 0.208712" in capsys.readouterr().out
+    # the hammersley model takes b1 = 0 and b2 in place of --p
+    assert main(["converge", "--seed", "1", "--model", "hammersley", "--b1", "0",
+                 "--b2", "0.75", "--sizes", "10", "--replicas", "1"]) == 0
 
 
 def test_converge_tolerance_gate(capsys):
@@ -357,10 +411,44 @@ def test_hammersley_subcommand(tmp_path, capsys):
     assert "limit identity" in names
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sizes", "100,200"), ("replicas", 2), ("dir", "1,1"), ("tol", 0.05), ("workers", 1)])
+def test_hammersley_takes_no_convergence_options(key, value, tmp_path, capsys):
+    base = ["hammersley", "--seed", "1", "--law-max", "1", "--coupling-seeds", "1",
+            "--width", "4", "--height", "4"]
+    assert main([*base, "--" + key, str(value)]) == 2
+    assert f"--{key}" in json.loads(capsys.readouterr().err)["error"]["message"]
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([*base, "--config", str(cfg)]) == 2
+    assert repr(key) in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+# sha256 of json.dumps(doc, sort_keys=True) of the converge --json document
+# without its meta.  These are the digests of the convergence document that
+# the hammersley report embedded when it still took --sizes 100,200
+# --replicas 2, so the one route gives that data bit for bit.
+HAMMERSLEY_CONVERGENCE = {
+    1: "5f8d038744a626fc6b7ee92a33f72e0c4bd5ac99a694423f672f5c6f550d037f",
+    3: "3732ac56cd710909ddfc7736481752c07535ee614305a950c38b742184790d8d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HAMMERSLEY_CONVERGENCE))
+def test_hammersley_convergence_is_pinned(seed, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["converge", "--model", "hammersley", "--p", "0.25", "--sizes", "100,200",
+                 "--replicas", "2", "--seed", str(seed), "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["meta"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == HAMMERSLEY_CONVERGENCE[seed]
+
+
 @pytest.mark.parametrize("command, config", [
     ("verify", {"n": 2.7}), ("verify", {"n": True}), ("verify", {"trials": True}),
     ("verify", {"max_size": 1e999}), ("verify", {"b1": True}),
-    ("hammersley", {"sizes": "20", "tol": "abc"}),
+    ("converge", {"sizes": "20", "tol": "abc"}),
     ("converge", {"sizes": [2.7, 30]}), ("converge", {"sizes": [True, 30]}),
 ])
 def test_config_numbers_are_not_rounded(command, config, tmp_path, capsys):
@@ -475,8 +563,9 @@ def test_verify_report_and_stdout_are_pinned(argv, seed, checks_sha, stdout_sha,
 
 
 # SHA-256 of the bytes each command writes (not a re-dump of the parsed
-# document), pinned before the JSON writer left json.dump: (argv after the
-# seed, output flag, {seed: digest}).  The provenance, version string
+# document), pinned before the JSON writer left json.dump, the hammersley
+# report's after it lost its convergence run: (argv after the seed, output
+# flag, {seed: digest}).  The provenance, version string
 # included, is part of the bytes.
 WRITTEN_PINS = {
     "sample-colored": (
@@ -496,10 +585,9 @@ WRITTEN_PINS = {
         {1: "00e88f5edd1030bc14700c9b358f8c5052b26386ebeedb774beefc54b10e9511",
          3: "737a35059321a171c7d0804fd818f06acfa60223d376e9c152d9af1c73de20ca"}),
     "hammersley": (
-        ("hammersley", "--width", "20", "--height", "20", "--coupling-seeds", "3",
-         "--sizes", "100,200", "--replicas", "2"), "--out",
-        {1: "07f4c989683ed7c1d2ada9e2805422c1bdc56938bc2e2c8da36b7f887de6e546",
-         3: "0d88366a496881473f5e5daa49d6da441bec4ae5f4b06c1c344571056939b85e"}),
+        ("hammersley", "--width", "20", "--height", "20", "--coupling-seeds", "3"), "--out",
+        {1: "172f78c3fad5b9e6442d3ff60dcd93385f2d9adc103fd6c4be7a7514214f7f60",
+         3: "5d47bfd43b5c8ba3c6b052fb8b48bdff3de4a4229d3df834febcb2a3c08042b9"}),
 }
 
 
