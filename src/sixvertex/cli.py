@@ -346,8 +346,8 @@ def _cmd_sample(cfg: RunConfig) -> int:
     replica = _check_number(o, "replica", 0, MAX_SEED)
     field = _load_field(cfg)
     model = o["model"]
-    unread = {"workers"} | ({"width", "height"} if model == "colored" else {"blocks", "dir"})
-    if ignored := cfg.explicit & unread:  # one sample is one process: no model reads --workers
+    unread = {"width", "height"} if model == "colored" else {"blocks", "dir"}
+    if ignored := cfg.explicit & unread:
         raise ConfigError(f"sample --model {model} takes no --{', --'.join(sorted(ignored))}")
     if model == "colored":
         x, y = _parse_direction(o["dir"])
@@ -507,7 +507,7 @@ COMMANDS: dict[str, Command] = {
     "sample": Command(_cmd_sample, "draw one configuration", {
         "seed": None, "model": "cs6v", "width": 40, "height": 40,
         "blocks": 4, "dir": "1,1", "b1": 0.3, "b2": 0.7, "field": None,
-        "replica": 0, "workers": None, "out": None, "json": None, "svg": None,
+        "replica": 0, "out": None, "json": None, "svg": None,
     }, choices={"model": ("s6v", "cs6v", "colored")}),
     "converge": Command(_cmd_converge, "height ratio convergence experiment", {
         "seed": None, "model": "s6v", "dir": "1,1", "sizes": "250,500,1000",

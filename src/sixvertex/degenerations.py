@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rng
-from .lattice import ParameterField, height_H, make_field, sample_cs6v
+from .lattice import ParameterField, _coin_rows, _row_bits, height_H, make_field, sample_cs6v
 from .lmatrix import VERIFY_TOL, _key_codes, fold_projection, l1_weight
 from .report import VerificationReport
 from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, render
@@ -53,30 +52,19 @@ class PointSet:
         return sorted(zip((xs + 1).tolist(), (ys + 1).tolist()))
 
 
-def _point_rows(width: int, height: int, p: float, seed: int, replica: int):
-    """Yield the Bernoulli(p) point indicators of rows 1..height: cell (x, y)
-    holds a point iff its second uniform has u2 >= 1 - p, read off the raw
-    Philox word as (w2 >> 11) >= t for the integer threshold t of the double
-    1.0 - p (rng.threshold)."""
-    t = rng.threshold(1.0 - p)
-    for y in range(1, height + 1):
-        yield rng.row_words(seed, replica, y, width)[:, 1] >> 11 >= t
-
-
 def sample_pointset(width: int, height: int, p: float, seed: int,
                     replica: int = 0) -> PointSet:
     """Independent Bernoulli(p) points, one per cell.
 
-    Membership of cell (x, y) is u2 >= 1 - p on the cell's second uniform,
-    the same coin that decides nucleation for the complemented model at
-    b2 = 1 - p, so point sets and lattice samples with equal seeds couple.
+    Cell (x, y) holds a point iff it nucleates in the complemented model on
+    make_field(0, 1 - p): the grid is read off the nucleate words of
+    lattice._coin_rows, the coin u2 >= 1 - p on the cell's second uniform, so
+    point sets and lattice samples with equal seeds couple cell by cell.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    grid = np.zeros((width, height), dtype=bool)
-    for y, points in enumerate(_point_rows(width, height, p, seed, replica)):
-        grid[:, y] = points
-    return PointSet(width, height, grid)
+    coins = _coin_rows(width, height, make_field(0.0, 1.0 - p), seed, replica)
+    return PointSet(width, height, _row_bits(width, height, coins)[:, 1].T.astype(bool, order="C"))
 
 
 def _chain_heights(grid: np.ndarray) -> np.ndarray:

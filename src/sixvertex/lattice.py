@@ -95,8 +95,10 @@ class ParameterField:
     @cached_property
     def _thresholds(self) -> np.ndarray:
         """rng.threshold of (b1, b2) per entry, shape (I, J, 2), for the
-        integer coins."""
-        return rng.threshold(np.stack((self.b1, self.b2), axis=-1))
+        integer coins (_coins).  A field that never crosses (every b1
+        threshold is 0) keeps only the b2 thresholds, shape (I, J, 1)."""
+        t = rng.threshold(np.stack((self.b1, self.b2), axis=-1))
+        return t if t[..., 0].any() else t[..., 1:].copy()
 
     def rows(self, y: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Parameter arrays for columns 1..width of row y."""
@@ -174,22 +176,32 @@ def _packed(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
+def _coins(words: np.ndarray, thresholds: np.ndarray, mask: int) -> tuple[int, int]:
+    """The packed (cross, nucleate) coin words u1 < b1, u2 >= b2 of the raw
+    Philox pairs (w1, w2) words[..., :], cell i (in C order) at bit i: (w >> 11)
+    < t against the cells' thresholds (see ParameterField._thresholds) gives
+    cross and the complement of nucleate, exactly for every b in [0, 1]; with
+    b2 thresholds alone (a field that never crosses) only w2 is compared.  mask
+    has the cells' bits, and nucleate none other.  May shift words in place."""
+    if thresholds.shape[-1] == 1:
+        return 0, mask & _packed(words[..., 1] >> 11 >= thresholds[..., 0])
+    below = np.right_shift(words, 11, out=words) < thresholds
+    packed = np.packbits(np.ascontiguousarray(below.reshape(-1, 2).T), axis=1,
+                         bitorder="little").tobytes()
+    half = len(packed) // 2
+    return (int.from_bytes(packed[:half], "little"),
+            mask & ~int.from_bytes(packed[half:], "little"))
+
+
 def _coin_rows(width: int, height: int, field: ParameterField, seed: int,
                replica: int):
-    """Yield the packed (cross, nucleate) coin words u1 < b1, u2 >= b2 of rows
-    1..height, read off the raw Philox words (rng.row_words) without making a
-    double: (w >> 11) < t on both words against the field's integer
-    thresholds (rng.threshold, computed once per field) gives cross and the
-    complement of nucleate, exactly for every b in [0, 1].  The field's J
-    distinct parameter rows are gathered once per call."""
-    a, mask, nbytes = np.arange(width) % field.I, (1 << width) - 1, (width + 7) // 8
+    """Yield the packed (cross, nucleate) coin words of rows 1..height (see
+    _coins), read off the raw Philox words of rng.row_words without making a
+    double.  The field's J distinct threshold rows are gathered once per call."""
+    a, mask = np.arange(width) % field.I, (1 << width) - 1
     params = [field._thresholds[a, b] for b in range(min(field.J, height))]
-    for y in range(1, height + 1):
-        words = rng.row_words(seed, replica, y, width)
-        below = np.right_shift(words, 11, out=words) < params[(y - 1) % field.J]
-        packed = np.packbits(np.ascontiguousarray(below.T), axis=1, bitorder="little").tobytes()
-        yield (int.from_bytes(packed[:nbytes], "little"),
-               mask & ~int.from_bytes(packed[nbytes:], "little"))
+    for y, thresholds in zip(range(1, height + 1), itertools.cycle(params)):
+        yield _coins(rng.row_words(seed, replica, y, width), thresholds, mask)
 
 
 def _carry_rows(mask: int, coins, south: int = 0, west=0):
@@ -518,21 +530,20 @@ LANE_BITS = 1 << 15
 
 def _lane_coin_rows(seed: int, replicas, widths, heights, stride: int,
                     field: ParameterField, mask: int):
-    """_coin_rows's words for rows 1..max(heights) of lanes of stride bits:
-    lane i is a guard bit, then replica replicas[i]'s columns 1..widths[i],
-    drawn on its rows y <= heights[i] (later rows keep stale coins).  mask
-    has the swept bits, and nucleate none other."""
+    """_coin_rows's words for rows 1..max(heights) of lanes of stride bits,
+    decided by _coins: lane i is a guard bit, then replica replicas[i]'s
+    columns 1..widths[i], drawn on its rows y <= heights[i] (later rows keep
+    stale coins).  mask has the swept bits, and nucleate none other."""
     cols, widths, heights = np.arange(stride), np.asarray(widths), np.asarray(heights)
-    thr = np.zeros((field.J, stride, 2), dtype=np.uint64)  # guard bits are never swept
-    thr[:, 1:] = field._thresholds[cols[:-1] % field.I].transpose(1, 0, 2)
+    thr = np.zeros((field.J, stride, field._thresholds.shape[-1]), dtype=np.uint64)
+    thr[:, 1:] = field._thresholds[cols[:-1] % field.I].transpose(1, 0, 2)  # guards: never swept
     drawn = (cols >= 1) & (cols <= widths[:, None])
     buf = np.zeros((len(widths), stride, 2), dtype=np.uint64)  # as V16: one item (w1, w2) per cell
     for y in range(1, int(heights.max()) + 1):
         live = heights >= y
         buf.view("V16")[..., 0][drawn & live[:, None]] = rng.lane_words(
             seed, np.asarray(replicas)[live].tolist(), y, widths[live].tolist()).view("V16")
-        below = np.right_shift(buf, 11, out=buf) < thr[(y - 1) % field.J]
-        yield _packed(below[..., 0]), mask & ~_packed(below[..., 1])
+        yield _coins(buf, thr[(y - 1) % field.J], mask)
 
 
 def _monotonicity_trials(trials: int, max_size: int, field: ParameterField, seed: int):

@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import pool
-from .degenerations import _point_rows
 from .kstest import ks_2samp_pvalue
 from .lattice import (
     ColoringScheme,
@@ -33,7 +32,6 @@ from .lattice import (
     _carry_rows,
     _coin_rows,
     _lane_coin_rows,
-    _packed,
     _row_bits,
     height_H,
     make_coloring,
@@ -306,20 +304,15 @@ def _floor_point(x: Fraction, y: Fraction, n: int) -> tuple[int, int]:
 
 
 def _ratio_task(args):
-    """One replica's ratios for ascending sizes, read off while a single carry
-    sweep advances to each floor point (px, py): the popcount of row py's
-    north word below bit px is H for cs6v and, by the shared-coin coupling,
-    for hammersley (cross = 0), and py - h for s6v."""
+    """One replica's ratios for ascending sizes, read off while one carry sweep
+    of _coin_rows advances to each floor point (px, py): the popcount of row
+    py's north word below bit px is H for cs6v, for hammersley (b1 = 0) the
+    longest chain of the coupled point set (sample_pointset), and py - h for s6v."""
     model, b1, b2, xs, ys, sizes, seed, replica = args
     field = ParameterField(np.asarray(b1), np.asarray(b2))
     x, y = Fraction(xs), Fraction(ys)
     wmax, hmax = _floor_point(x, y, max(sizes))
-    if model == "hammersley":  # the point set's own coin u2 >= 1 - p, bit for bit
-        coins = ((0, _packed(points)) for points in
-                 _point_rows(wmax, hmax, 1.0 - field.b2[0, 0], seed, replica))
-    else:
-        coins = _coin_rows(wmax, hmax, field, seed, replica)
-    rows = _carry_rows((1 << wmax) - 1, coins)
+    rows = _carry_rows((1 << wmax) - 1, _coin_rows(wmax, hmax, field, seed, replica))
     step = model == "s6v"
     out, at = [], 0
     for n in sizes:
@@ -342,14 +335,21 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
     Cauchy behavior along a growing sample.  The heights are read as the
     packed-bit carry sweep passes each floor row, one popcount per size, so
     a replica holds O(width) memory (plus the field's J parameter rows), not
-    the box.  Every floor point must have both coordinates >= 1.  With
-    homogeneous parameters the closed-form limit is attached as reference.
-    model="hammersley" samples Bernoulli(p) points and needs the 1x1 field
-    b1 = 0, b2 = 1 - p in (0, 1).
+    the box.  sizes must be integers (a bool or a non-integral value is
+    rejected, not rounded), and every floor point must have both coordinates
+    >= 1.  With homogeneous parameters the closed-form limit is attached as
+    reference.  model="hammersley" needs the 1x1 field b1 = 0, b2 = 1 - p in
+    (0, 1): it sweeps the cs6v coins, whose height at b1 = 0 is the longest
+    chain of the coupled Bernoulli(p) point set, so its ratios are cs6v's and
+    only its reference differs.
     """
     x, y = Fraction(direction[0]), Fraction(direction[1])
     if x <= 0 or y <= 0:
         raise ValueError("direction components must be positive")
+    sizes = list(sizes)
+    if any(isinstance(n, (bool, np.bool_)) or not (hasattr(n, "__index__") or float(n).is_integer())
+           for n in sizes):  # an int too large for a float is integral too
+        raise ValueError(f"sizes must be integers, got {sizes}")
     sizes = sorted(int(n) for n in sizes)
     if not sizes or sizes[0] < 1:
         raise ValueError("sizes must be positive")

@@ -19,6 +19,10 @@ PALETTE = (
 )
 
 
+#: Pixels per lattice unit, around the lattice, and between consecutive colors' lines.
+CELL, MARGIN, OFFSET = 24, 16, 2.5
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
@@ -28,19 +32,18 @@ def _group(attrs: str, children: list[str]) -> str:
     return f"<g {attrs}>{''.join(children)}</g>" if children else f"<g {attrs} />"
 
 
-def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
-                 offset: float = 2.5, comment: str | None = None) -> str:
+def ensemble_svg(e: PathEnsemble, comment: str | None = None) -> str:
     """Render an ensemble to an SVG string, assembled in ElementTree's
     serialization form; every attribute value is a number or a fixed string,
     so nothing needs escaping.  Lines are built from table lookups."""
-    w_px = 2 * margin + (e.width + 1) * cell
-    h_px = 2 * margin + (e.height + 1) * cell
+    w_px = 2 * MARGIN + (e.width + 1) * CELL
+    h_px = 2 * MARGIN + (e.height + 1) * CELL
 
     def X(x: float) -> float:
-        return margin + x * cell
+        return MARGIN + x * CELL
 
     def Y(y: float) -> float:
-        return h_px - margin - y * cell
+        return h_px - MARGIN - y * CELL
 
     # xs[i] is column i + 1 and ys[j] row j + 1; the entry past the last is
     # the top or right exit stub
@@ -59,9 +62,9 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
                                          for cx in xs[:-1] for cy in ys[:-1]]))
     for c in range(1, e.n_colors + 1):
         color = PALETTE[(c - 1) % len(PALETTE)]
-        d = (c - (e.n_colors + 1) / 2.0) * offset
+        d = (c - (e.n_colors + 1) / 2.0) * OFFSET
         bit = c - 1
-        dx = d / cell  # offsets in lattice units
+        dx = d / CELL  # offsets in lattice units
         xd = [_fmt(X(x + dx)) for x in range(1, e.width + 1)]
         yd = [_fmt(Y(y + dx)) for y in range(1, e.height + 1)]
         vbits = (e.v_edges >> bit) & 1
@@ -83,6 +86,6 @@ def ensemble_svg(e: PathEnsemble, cell: int = 24, margin: int = 16,
     return "".join(out)
 
 
-def write_svg(e: PathEnsemble, path, **kwargs) -> None:
+def write_svg(e: PathEnsemble, path, comment: str | None = None) -> None:
     with open(path, "w") as f:
-        f.write(ensemble_svg(e, **kwargs))
+        f.write(ensemble_svg(e, comment))

@@ -320,6 +320,18 @@ def test_convergence_input_validation():
             convergence_experiment((1, 1), field, [10], 2, 0, model="hammersley")
 
 
+def test_non_integral_sizes_are_rejected_before_sampling(monkeypatch):
+    # int() would run [2.7, 10] as sizes 2 and 10 and [True, 10] as 1 and 10
+    monkeypatch.setattr(lln.pool, "run_tasks", lambda *a: pytest.fail("sampled"))
+    for sizes in ([2.7, 10], [True, 10], [10, np.float64(20.5)], [np.bool_(True), 10],
+                  [float("nan"), 10], [10, float("inf")]):
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            convergence_experiment((1, 1), HOMOG, sizes, 2, 1)
+    monkeypatch.undo()
+    rep = convergence_experiment((1, 1), HOMOG, [np.int64(20), 10.0], 2, 1)
+    assert rep.sizes == [10, 20] and all(type(n) is int for n in rep.sizes)
+
+
 def test_empty_floor_box_is_rejected():
     # (2, 1/3) at size 2 floors to the point (4, 0): no row to read
     for direction in ((2, Fraction(1, 3)), (Fraction(1, 3), 2)):

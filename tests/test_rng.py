@@ -1,16 +1,17 @@
 """Counter-based per-cell randomness and the integer coins read off it."""
 
+import ast
 import contextlib
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sixvertex import convergence_experiment, make_field, rng, sample_pointset
-from sixvertex.degenerations import _point_rows
 from sixvertex.lattice import _coin_rows
 
 
@@ -170,7 +171,7 @@ def _check_point_coins(p, low_bits):
     # the point coin thresholds the double 1.0 - p, a multiple of 2**-53
     words = _words_around(1.0 - p, low_bits)
     with _patched_words(words):
-        points, = _point_rows(len(words), 1, p, 1, 0)
+        points = sample_pointset(len(words), 1, p, 1, 0).grid[:, 0]
     assert points.tolist() == [_uniform(w) >= 1.0 - p for w in words]
 
 
@@ -184,3 +185,52 @@ def test_integer_coins_at_edge_parameters(b):
 def test_integer_coins_equal_the_uniform_comparison(b, low_bits):
     _check_lattice_coins(b, low_bits)
     _check_point_coins(b, low_bits)
+
+
+def test_hammersley_and_cs6v_readouts_share_their_coins():
+    # b2 = 0.1 is no multiple of 2**-53, so 1 - (1 - b2) != b2: words at the
+    # 53-bit values next to threshold(0.1) tell a coin of threshold(b2) from
+    # one of threshold(1 - (1 - b2)), and the two models must read the former
+    b2 = 0.1
+    assert 1.0 - (1.0 - b2) != b2
+    words = _words_around(b2, (0, 2**11 - 1))
+    field = make_field(0.0, b2)
+    with _patched_words(words):
+        ratios = {model: convergence_experiment((1, 1), field, [3, len(words)], 2, 1,
+                                                model).ratios
+                  for model in ("hammersley", "cs6v")}
+    assert ratios["hammersley"].tobytes() == ratios["cs6v"].tobytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sixvertex"
+
+
+def _uses(tree):
+    """(kind, line) of every Philox draw, bit-generator state assignment and
+    rng.threshold call in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random_raw":
+            yield "random_raw", node.lineno
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "state" for t in targets):
+                yield "state", node.lineno
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "threshold"
+                    or isinstance(f, ast.Name) and f.id == "threshold"):
+                yield "threshold", node.lineno
+        if isinstance(node, ast.ImportFrom) and any(a.name == "threshold" for a in node.names):
+            yield "threshold", node.lineno
+
+
+def test_one_path_from_philox_words_to_coins():
+    # the Philox draw and its reset live in rng, the integer coins in lattice
+    home = {"random_raw": "rng.py", "state": "rng.py", "threshold": "lattice.py"}
+    strays = [(path.name, kind, line) for path in sorted(SRC.glob("*.py"))
+              for kind, line in _uses(ast.parse(path.read_text()))
+              if path.name != home[kind]]
+    assert strays == []
+    rng_tree = ast.parse((SRC / "rng.py").read_text())
+    assert sum(kind == "state" for kind, _ in _uses(rng_tree)) == 1
+    assert sum(kind == "random_raw" for kind, _ in _uses(rng_tree)) == 1

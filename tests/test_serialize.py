@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sixvertex import render_svg
 from sixvertex.degenerations import PointSet, sample_pointset
 from sixvertex.lattice import (
     make_coloring,
@@ -327,9 +328,13 @@ SVG_CASES = _svg_cases()
                                    {"cell": 10, "margin": 0, "offset": 3.7}],
                          ids=["default", "cell17", "cell10"])
 @pytest.mark.parametrize("name", sorted(SVG_CASES))
-def test_svg_equals_the_oracle(name, style):
+def test_svg_equals_the_oracle(name, style, monkeypatch):
+    # the geometry is read from the module's constants, so other values of
+    # them must still give the oracle's drawing
+    for key, value in style.items():
+        monkeypatch.setattr(render_svg, key.upper(), value)
     e = SVG_CASES[name]
-    assert ensemble_svg(e, **style) == oracle_svg(e, **style)
+    assert ensemble_svg(e) == oracle_svg(e, **style)
 
 
 def test_svg_cases_draw_stubs_and_exits():
