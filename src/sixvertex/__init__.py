@@ -88,7 +88,7 @@ from .lmatrix import (
 )
 from .render_svg import ensemble_svg, write_svg
 from .report import VerificationReport
-from .rng import cell_uniforms, row_uniforms
+from .rng import row_uniforms
 from .serialize import (
     ensemble_from_bytes,
     ensemble_from_json,
@@ -123,7 +123,7 @@ __all__ = [
     "PathEnsemble", "PointSet", "VerificationReport", "W", "W_PRIME",
     "Weight", "ZERO", "__version__", "admissibility_violations", "coin_law",
     "complement", "compute_X", "contiguous_partitions",
-    "convergence_experiment", "cell_uniforms",
+    "convergence_experiment",
     "enumerate_cs6v_height_distribution",
     "enumerate_hammersley_distribution", "ensemble_from_bytes",
     "ensemble_from_json", "ensemble_svg", "ensemble_to_bytes",

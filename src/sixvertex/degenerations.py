@@ -24,9 +24,10 @@ import numpy as np
 from .lattice import ParameterField, _coin_rows, _row_bits, height_H, make_field, sample_cs6v
 from .lmatrix import VERIFY_TOL, _key_codes, fold_projection, l1_weight
 from .report import VerificationReport
-from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, render
+from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, eval_table, render
 
-MAX_ENUM_CELLS = 12
+MAX_ENUM_CELLS = 12  # point subsets of the Hammersley enumeration: 2**12
+MAX_TRANSFER_WIDTH = 16  # cs6v transfer states: 2**17 floats
 
 
 # ---------------------------------------------------------------------------
@@ -89,36 +90,25 @@ def hammersley_height(ps: PointSet) -> np.ndarray:
 
 def enumerate_cs6v_height_distribution(width: int, height: int,
                                        field: ParameterField) -> dict[int, float]:
-    """Exact law of the complemented model's height at the top-right corner,
-    by depth-first expansion of every vertex outcome (empty boundary)."""
-    if width * height > MAX_ENUM_CELLS:
-        raise ValueError(f"enumeration limited to {MAX_ENUM_CELLS} cells")
-    dist: dict[int, float] = {}
-
-    def outcomes(i: int, j: int, x: int, y: int):
-        b1, b2 = field.at(x, y)
-        if i != j:
-            return (((i, j), 1.0),)
-        if i:
-            return tuple(o for o in (((1, 1), b1), ((0, 0), 1.0 - b1)) if o[1] > 0.0)
-        return tuple(o for o in (((0, 0), b2), ((1, 1), 1.0 - b2)) if o[1] > 0.0)
-
-    def rec(x: int, y: int, south: list[int], west: int, prob: float):
-        if y > height:
-            key = sum(south)
-            dist[key] = dist.get(key, 0.0) + prob
-            return
-        for (k, l), p in outcomes(south[x - 1], west, x, y):
-            saved = south[x - 1]
-            south[x - 1] = k
-            if x == width:
-                rec(1, y + 1, south, 0, prob * p)
-            else:
-                rec(x + 1, y, south, l, prob * p)
-            south[x - 1] = saved
-
-    rec(1, 1, [0] * width, 0, 1.0)
-    return dist
+    """Exact law of the complemented model's height at the top-right corner
+    (empty boundary), by a row-by-row, cell-by-cell transfer of the mass of
+    every state (north word, west bit) through the one-color weights."""
+    if not (0 <= width <= MAX_TRANSFER_WIDTH and height >= 0):
+        raise ValueError(f"transfer limited to widths 0..{MAX_TRANSFER_WIDTH} and heights >= 0")
+    # Per field entry, the weights [south, west; north, east] as a matrix from
+    # (west, south) to (north, east).
+    values = np.array([[eval_table(b1, b2) for b1, b2 in zip(r1, r2)]
+                       for r1, r2 in zip(field.b1.tolist(), field.b2.tolist())])
+    step = values[..., _key_codes(1)].transpose(0, 1, 4, 5, 3, 2).reshape(field.I, field.J, 4, 4)
+    words = 1 << width
+    mass = np.zeros(2 * words)  # at a row's start: west bit, then the north word
+    mass[0] = 1.0
+    for y in range(height):
+        for x in range(width):  # the west bit sits between columns x-1 and x
+            mass = np.matmul(step[x % field.I, y % field.J], mass.reshape(1 << x, 4, -1))
+        mass = np.concatenate((mass.reshape(words, 2).sum(axis=1), np.zeros(words)))  # east leaves
+    law = np.bincount([w.bit_count() for w in range(words)], weights=mass[:words])
+    return {k: float(m) for k, m in enumerate(law) if m > 0.0}
 
 
 @lru_cache(maxsize=None)

@@ -151,8 +151,9 @@ class PathEnsemble:
     def __post_init__(self):
         if self.variant not in ("s6v", "cs6v"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not 1 <= self.n_colors <= MAX_COLORS:
-            raise ValueError("n_colors out of range")
+        if isinstance(self.n_colors, bool) or not isinstance(self.n_colors, (int, np.integer)) \
+                or not 1 <= self.n_colors <= MAX_COLORS:
+            raise ValueError(f"n_colors must be an integer in 1..{MAX_COLORS}")
         if self.v_edges.shape != (self.width, self.height) or \
                 self.h_edges.shape != (self.width, self.height):
             raise ValueError("edge array shapes must be (width, height)")

@@ -8,12 +8,12 @@ chunking, or worker count reproduces identical samples, and different models
 run with the same seed are coupled cell by cell.
 
 One routine, _stream_words, resets the shared bit generator to an address
-and draws; row_words, lane_words and cell_uniforms all go through it.
+and draws; row_words and lane_words both go through it.
 
 A word w stands for the uniform u = (w >> 11) * 2**-53, the double numpy's
-Generator.random makes of it (row_uniforms and cell_uniforms return those
-doubles).  The samplers decide their coins on the words, exactly, in one
-place (lattice._coins): for b in [0, 1], m = w >> 11 is an integer below
+Generator.random makes of it (row_uniforms returns those doubles).  The
+samplers decide their coins on the words, exactly, in one place
+(lattice._coins): for b in [0, 1], m = w >> 11 is an integer below
 2**53 and b * 2**53 is exact (a power-of-two scaling), so u < b holds iff
 m < t for t = ceil(b * 2**53), and u >= b iff not.  The threshold t lies in
 0..2**53 and fits 64 bits: at b = 0 it is 0, so u < b never holds and
@@ -39,16 +39,15 @@ _STATE = {"bit_generator": "Philox", "state": _LANE, "buffer": (0, 0, 0, 0), "bu
           "has_uint32": 0, "uinteger": 0}
 
 
-def _stream_words(seed: int, replicas, row: int, widths, block: int = 0) -> list:
-    """The 2 * widths[i] raw words (widths[i] cells) of replica replicas[i]'s
-    row stream, from its 4-word block `block` on: the one reset of the shared
-    bit generator.  The addresses, each one 64-bit word, are checked once per
-    call."""
+def _stream_words(seed: int, replicas, row: int, widths) -> list:
+    """The first 2 * widths[i] raw words (widths[i] cells) of replica
+    replicas[i]'s row stream: the one reset of the shared bit generator.  The
+    addresses, each one 64-bit word, are checked once per call."""
     if not (0 <= seed <= MAX_SEED and 0 <= min(replicas) and max(replicas) <= MAX_SEED
-            and 1 <= row <= MAX_SEED and 0 <= block <= MAX_SEED) or min(widths) < 1:
-        raise ValueError("need seed and replicas in 0..MAX_SEED, row in 1..MAX_SEED, "
-                         "widths >= 1 and column in 1..2**65")
-    _LANE["counter"], words = (block, 0, row, 0), []
+            and 1 <= row <= MAX_SEED) or min(widths) < 1:
+        raise ValueError("need seed and replicas in 0..MAX_SEED, row in 1..MAX_SEED "
+                         "and widths >= 1")
+    _LANE["counter"], words = (0, 0, row, 0), []
     for r, w in zip(replicas, widths):
         _LANE["key"] = (seed, r)  # tuples: the setter reads them faster than lists
         _BITGEN.state = _STATE
@@ -76,16 +75,6 @@ def row_uniforms(seed: int, replica: int, row: int, width: int):
     the doubles of row_words, bit for bit those of Generator.random."""
     u = (row_words(seed, replica, row, width) >> 11) * 2.0**-53
     return u[:, 0], u[:, 1]
-
-
-def cell_uniforms(seed: int, replica: int, x: int, y: int) -> tuple[float, float]:
-    """The two uniforms owned by a single cell; matches row_uniforms column x.
-
-    Only the cell's own 4-word Philox block is drawn: cell x holds words
-    2(x-1) and 2(x-1)+1 of its row, in block (x-1)//2.
-    """
-    w = _stream_words(seed, (replica,), y, (2,), (x - 1) // 2)[0][2 * ((x - 1) % 2):] >> 11
-    return float(w[0]) * 2.0**-53, float(w[1]) * 2.0**-53
 
 
 def threshold(b) -> np.ndarray:

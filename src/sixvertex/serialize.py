@@ -182,18 +182,30 @@ def json_chunks(doc, indent: str = "\n"):
         yield json.dumps(doc)
 
 
+def _integer(value, low: int, high: int, what: str) -> int:
+    """value, which must be an integer (not a bool) in low..high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not low <= value <= high:
+        raise ValueError(f"{what} {value!r} outside {low}..{high}")
+    return int(value)
+
+
 def _index(value, extent: int, what: str) -> int:
     """0-based index of a 1-based coordinate or color, which must lie in 1..extent."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or not 1 <= value <= extent:
-        raise ValueError(f"{what} {value!r} outside 1..{extent}")
-    return value - 1
+    return _integer(value, 1, extent, what) - 1
 
 
 def ensemble_from_json(doc: dict) -> PathEnsemble:
+    """Inverse of ensemble_to_json.  The header is checked as the binary
+    reader checks it: extents fit the u32 fields, n_colors lies in
+    1..MAX_COLORS, and colors is a list."""
     if doc.get("format") != "sixvertex-ensemble":
         raise ValueError("not an ensemble document")
-    width, height, n = doc["width"], doc["height"], doc["n_colors"]
+    width = _integer(doc["width"], 0, 2**32 - 1, "width")
+    height = _integer(doc["height"], 0, 2**32 - 1, "height")
+    n = _integer(doc["n_colors"], 1, MAX_COLORS, "n_colors")
+    if not isinstance(doc["colors"], list):
+        raise ValueError(f"colors {doc['colors']!r} is not a list")
     dtype = _mask_dtype(n)
     v, hE, left, bottom = _zero_planes(width, height, dtype)
     for entry in doc["colors"]:

@@ -1,13 +1,16 @@
 """Point-process degeneration and the four-symbol collapse of the algebra."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cs6v_law_oracle import cs6v_height_distribution
 from hammersley_oracle import hammersley_distribution
 from sixvertex.degenerations import (
     MAX_ENUM_CELLS,
+    MAX_TRANSFER_WIDTH,
     PointSet,
     enumerate_cs6v_height_distribution,
     enumerate_hammersley_distribution,
@@ -19,6 +22,7 @@ from sixvertex.degenerations import (
     verify_hammersley_equivalence,
     verify_tpng_equivalence,
 )
+from sixvertex.lattice import make_field
 from sixvertex.weights import (
     B1,
     B2,
@@ -92,7 +96,6 @@ def test_pointset_determinism_and_density():
 def test_exact_law_enumerators_are_probability_laws():
     law = enumerate_hammersley_distribution(3, 2, 0.4)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
-    from sixvertex.lattice import make_field
     law2 = enumerate_cs6v_height_distribution(3, 2, make_field(0.0, 0.6))
     assert sum(law2.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -107,6 +110,52 @@ def test_exact_law_matches_the_per_subset_oracle(w, h):
     for p in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
         law = enumerate_hammersley_distribution(w, h, p)
         assert list(law.items()) == list(hammersley_distribution(w, h, p).items())
+
+
+# Homogeneous fields with entries at 0 and 1, and a 2x2 periodic field that is
+# not symmetric, so a transposed read of the field shows.
+LAW_FIELDS = {
+    "b0.3-0.7": make_field(0.3, 0.7),
+    "b0-0.6": make_field(0.0, 0.6),
+    "b1-0": make_field(1.0, 0.0),
+    "b0.9-0.05": make_field(0.9, 0.05),
+    "periodic": make_field([[0.0, 0.4], [1.0, 0.6]], [[1.0, 0.2], [0.5, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("field", LAW_FIELDS.values(), ids=list(LAW_FIELDS))
+def test_transfer_law_matches_the_walk_oracle(field):
+    for w, h in BOXES:
+        law = enumerate_cs6v_height_distribution(w, h, field)
+        want = cs6v_height_distribution(w, h, field)
+        assert law.keys() == want.keys(), (w, h)
+        assert max(abs(law[k] - want[k]) for k in want) <= 1e-14, (w, h)
+
+
+def test_transfer_law_at_the_width_cap_is_a_probability_law():
+    law = enumerate_cs6v_height_distribution(MAX_TRANSFER_WIDTH, 16, make_field(0.3, 0.7))
+    assert set(law) <= set(range(17))
+    assert abs(sum(law.values()) - 1.0) <= 1e-12
+
+
+def test_transfer_memory_does_not_grow_with_height():
+    field = make_field(0.3, 0.7)
+    enumerate_cs6v_height_distribution(2, 2, field)  # first-call allocations are not the box's
+    peaks = []
+    for height in (2, 16):
+        tracemalloc.start()
+        try:
+            enumerate_cs6v_height_distribution(MAX_TRANSFER_WIDTH, height, field)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("w, h", [(MAX_TRANSFER_WIDTH + 1, 1), (-1, 2), (2, -1)])
+def test_transfer_rejects_boxes_outside_the_width_cap(w, h):
+    with pytest.raises(ValueError, match="widths"):
+        enumerate_cs6v_height_distribution(w, h, make_field(0.3, 0.7))
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])

@@ -30,9 +30,10 @@ from sixvertex.lattice import (
     verify_monotonicity,
 )
 from sixvertex.lmatrix import MAX_COLORS, vertex_outcome
-from sixvertex.rng import cell_uniforms, row_uniforms
+from sixvertex.rng import row_uniforms
 from sixvertex.serialize import ensemble_to_bytes
 from admissibility_oracle import admissibility_violations as admissibility_oracle
+from cell_oracle import cell_uniforms
 from monotonicity_oracle import monotonicity_trials as monotonicity_oracle
 from sweep_oracle import sweep_rows
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sixvertex import lmatrix, weights
-from sixvertex.degenerations import verify_tpng_equivalence
+from sixvertex.degenerations import verify_hammersley_equivalence, verify_tpng_equivalence
 from sixvertex.lmatrix import (
     coin_law,
     contiguous_partitions,
@@ -316,12 +316,13 @@ EMPTY_VERTEX_AS_B1 = [
      "law mismatch i=00 j=00 outcome=(0, 0) at (0.0,0.3): 0.3 vs 0.0"),
     (lambda: verify_tpng_equivalence(2), 256, 7, "key (0,0;0,0): b1 vs 1"),
     (verify_golden_table, 68, 2, "contradictory key present: (0, 0, 3, 3)"),
+    (lambda: verify_hammersley_equivalence(2, 2, 0.25), 3, 2, "P(H=0): 0.0 vs 0.31640625"),
 ]
 
 
 @pytest.mark.parametrize("verifier, cases, count, first", EMPTY_VERTEX_AS_B1,
                          ids=["stochastic", "color-ignorance", "mod2-erasure", "sampler-law",
-                              "modified-min", "golden-table"])
+                              "modified-min", "golden-table", "hammersley-law"])
 def test_verifier_sees_a_wrong_one_color_weight(verifier, cases, count, first, mutate_l1):
     assert verifier().passed
     mutate_l1((0, 0, 0, 0), B1)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sixvertex import render_svg
 from sixvertex.degenerations import PointSet, sample_pointset
 from sixvertex.lattice import (
+    PathEnsemble,
     make_coloring,
     make_field,
     sample_colored_cs6v,
@@ -237,6 +238,27 @@ def test_json_parser_rejects_out_of_range_input(key, value):
     doc["colors"][0][key] = value
     with pytest.raises(ValueError, match="outside 1.."):
         ensemble_from_json(doc)
+
+
+# Each of these was taken, or raised TypeError, before the header was checked.
+@pytest.mark.parametrize("key, value", [
+    ("n_colors", 1.0), ("n_colors", True), ("n_colors", "1"), ("width", True), ("width", 5.0),
+    ("width", "5"), ("height", 4.0), ("height", None), ("colors", None), ("colors", "v"),
+])
+def test_json_parser_rejects_a_malformed_header(key, value):
+    doc = _json_doc()
+    ensemble_from_json(doc)
+    doc[key] = value
+    with pytest.raises(ValueError, match=key):
+        ensemble_from_json(doc)
+
+
+@pytest.mark.parametrize("n_colors", [1.0, True, "1", None])
+def test_path_ensemble_rejects_a_non_integer_color_count(n_colors):
+    e = sample_cs6v(5, 4, FIELD, 1)
+    with pytest.raises(ValueError, match="n_colors"):
+        PathEnsemble(e.variant, n_colors, e.width, e.height, e.v_edges, e.h_edges,
+                     e.boundary_left, e.boundary_bottom)
 
 
 @pytest.mark.parametrize("text, extents", [
