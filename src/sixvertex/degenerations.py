@@ -104,7 +104,7 @@ def enumerate_cs6v_height_distribution(width: int, height: int,
     mass = np.zeros(2 * words)  # at a row's start: west bit, then the north word
     mass[0] = 1.0
     for y in range(height):
-        for x in range(width):  # the west bit sits between columns x-1 and x
+        for x in range(width):  # state bits: north of columns < x, west, south of columns >= x
             mass = np.matmul(step[x % field.I, y % field.J], mass.reshape(1 << x, 4, -1))
         mass = np.concatenate((mass.reshape(words, 2).sum(axis=1), np.zeros(words)))  # east leaves
     law = np.bincount([w.bit_count() for w in range(words)], weights=mass[:words])
