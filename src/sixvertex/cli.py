@@ -481,7 +481,7 @@ OPTIONS: dict[str, tuple[type, str]] = {
     "trials": (int, "monotonicity trial count"),
     "max_size": (int, "max grid side for monotonicity trials"),
     "coupling_seeds": (int, "number of consecutive seeds for pathwise coupling"),
-    "law_max": (int, "max side for exact law enumeration (<= 3)"),
+    "law_max": (int, "max side of the boxes whose exact laws are compared (<= 3)"),
     "out": (str, "output path: binary ensemble, JSON report or golden table"),
     "json": (str, "JSON output path"),
     "csv": (str, "CSV output path"),

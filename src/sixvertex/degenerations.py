@@ -11,13 +11,15 @@ known growth models:
   {0, t, 1-t, 1}, where the level product becomes a modified minimum
   (complementary symbols t and 1-t meet in 0; otherwise the usual order
   0 < {t, 1-t} < 1 applies).
+
+Both exact corner laws of the first degeneration run through one row transfer,
+_transfer_law: the complemented model's one-color weights, or the chain step.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +28,7 @@ from .lmatrix import VERIFY_TOL, _key_codes, fold_projection, l1_weight
 from .report import VerificationReport
 from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, eval_table, render
 
-MAX_ENUM_CELLS = 12  # point subsets of the Hammersley enumeration: 2**12
-MAX_TRANSFER_WIDTH = 16  # cs6v transfer states: 2**17 floats
+MAX_TRANSFER_WIDTH = 16  # transfer states: 2**17 floats
 
 
 # ---------------------------------------------------------------------------
@@ -68,71 +69,63 @@ def sample_pointset(width: int, height: int, p: float, seed: int,
     return PointSet(width, height, _row_bits(width, height, coins)[:, 1].T.astype(bool, order="C"))
 
 
-def _chain_heights(grid: np.ndarray) -> np.ndarray:
-    """hammersley_height of the point grids grid[..., :, :], for any leading axes."""
-    *lead, width, height = grid.shape
-    H = np.zeros((*lead, width + 1, height + 1), dtype=np.int64)
-    for y in range(1, height + 1):  # the chain step, row by row
-        H[..., 1:, y] = np.maximum.accumulate(
-            np.maximum(H[..., 1:, y - 1], H[..., :-1, y - 1] + grid[..., y - 1]), axis=-1)
-    return H
-
-
 def hammersley_height(ps: PointSet) -> np.ndarray:
     """Longest-chain height: entry [x, y] is the maximal number of points of
     ps below-left of (x, y) forming a chain that strictly increases in both
     coordinates.  Shape (width+1, height+1)."""
-    return _chain_heights(ps.grid)
+    H = np.zeros((ps.width + 1, ps.height + 1), dtype=np.int64)
+    for y in range(1, ps.height + 1):  # the chain step, row by row
+        H[1:, y] = np.maximum.accumulate(
+            np.maximum(H[1:, y - 1], H[:-1, y - 1] + ps.grid[:, y - 1]))
+    return H
 
 
 # ---------------------------------------------------------------------------
 # Exact small-box distributions
 
-def enumerate_cs6v_height_distribution(width: int, height: int,
-                                       field: ParameterField) -> dict[int, float]:
-    """Exact law of the complemented model's height at the top-right corner
-    (empty boundary), by a row-by-row, cell-by-cell transfer of the mass of
-    every state (north word, west bit) through the one-color weights."""
+def _transfer_law(width: int, height: int, step: np.ndarray) -> dict[int, float]:
+    """Law of the number of north bits leaving the top of a box entered empty,
+    by a row-by-row, cell-by-cell transfer of the mass of every state (north
+    word, west bit); cell (x, y) applies step[x % I, y % J], a 4x4 matrix from
+    (west, south) to (north, east)."""
     if not (0 <= width <= MAX_TRANSFER_WIDTH and height >= 0):
         raise ValueError(f"transfer limited to widths 0..{MAX_TRANSFER_WIDTH} and heights >= 0")
-    # Per field entry, the weights [south, west; north, east] as a matrix from
-    # (west, south) to (north, east).
-    values = np.array([[eval_table(b1, b2) for b1, b2 in zip(r1, r2)]
-                       for r1, r2 in zip(field.b1.tolist(), field.b2.tolist())])
-    step = values[..., _key_codes(1)].transpose(0, 1, 4, 5, 3, 2).reshape(field.I, field.J, 4, 4)
+    I, J = step.shape[:2]
     words = 1 << width
     mass = np.zeros(2 * words)  # at a row's start: west bit, then the north word
     mass[0] = 1.0
     for y in range(height):
         for x in range(width):  # state bits: north of columns < x, west, south of columns >= x
-            mass = np.matmul(step[x % field.I, y % field.J], mass.reshape(1 << x, 4, -1))
+            mass = np.matmul(step[x % I, y % J], mass.reshape(1 << x, 4, -1))
         mass = np.concatenate((mass.reshape(words, 2).sum(axis=1), np.zeros(words)))  # east leaves
     law = np.bincount([w.bit_count() for w in range(words)], weights=mass[:words])
     return {k: float(m) for k, m in enumerate(law) if m > 0.0}
 
 
-@lru_cache(maxsize=None)
-def _subset_heights(width: int, height: int) -> tuple:
-    """(corner height, point count) of each point subset, in itertools.product
-    order over grid[x, y] (y fastest), from one _chain_heights call."""
-    bits = np.arange(1 << width * height)[:, None] >> np.arange(width * height)[::-1] & 1
-    corner = _chain_heights(bits.reshape(len(bits), width, height))[:, width, height]
-    return tuple(zip(corner.tolist(), bits.sum(axis=1).tolist()))
+def enumerate_cs6v_height_distribution(width: int, height: int,
+                                       field: ParameterField) -> dict[int, float]:
+    """Exact law of the complemented model's height at the top-right corner
+    (empty boundary): _transfer_law through the one-color weights."""
+    # Per field entry, the weights [south, west; north, east] as a step matrix.
+    values = np.array([[eval_table(b1, b2) for b1, b2 in zip(r1, r2)]
+                       for r1, r2 in zip(field.b1.tolist(), field.b2.tolist())])
+    step = values[..., _key_codes(1)].transpose(0, 1, 4, 5, 3, 2).reshape(field.I, field.J, 4, 4)
+    return _transfer_law(width, height, step)
 
 
 def enumerate_hammersley_distribution(width: int, height: int,
                                       p: float) -> dict[int, float]:
     """Exact law of the longest-chain height at (width, height) for the
-    Bernoulli(p) point field, summed over the point subsets of _subset_heights."""
+    Bernoulli(p) point field, through the chain step H'(x) = max(H'(x-1), H(x),
+    H(x-1) + point) on d = H(x) - H(x-1) (south) and e = H'(x-1) - H(x-1)
+    (west): e' = max(e - d, 0, point - d) goes east and d + e' - e north."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    cells = width * height
-    if cells > MAX_ENUM_CELLS:
-        raise ValueError(f"enumeration limited to {MAX_ENUM_CELLS} cells")
-    dist: dict[int, float] = {}
-    for h, ones in _subset_heights(width, height):
-        dist[h] = dist.get(h, 0.0) + (p ** ones) * ((1.0 - p) ** (cells - ones))
-    return dist
+    step = np.zeros((1, 1, 4, 4))
+    for e, d, point in itertools.product((0, 1), repeat=3):
+        east = max(e - d, 0, point - d)
+        step[0, 0, 2 * (d + east - e) + east, 2 * e + d] += p if point else 1.0 - p
+    return _transfer_law(width, height, step)
 
 
 def verify_hammersley_equivalence(width: int, height: int, p: float) -> VerificationReport:

@@ -196,9 +196,9 @@ def _index(value, extent: int, what: str) -> int:
 
 
 def ensemble_from_json(doc: dict) -> PathEnsemble:
-    """Inverse of ensemble_to_json.  The header is checked as the binary
-    reader checks it: extents fit the u32 fields, n_colors lies in
-    1..MAX_COLORS, and colors is a list."""
+    """Inverse of ensemble_to_json, checked as the binary reader is: u32
+    extents, n_colors in 1..MAX_COLORS, and colors a list of objects with a
+    color and lists v and h of [x, y] pairs, left and bottom."""
     if doc.get("format") != "sixvertex-ensemble":
         raise ValueError("not an ensemble document")
     width = _integer(doc["width"], 0, 2**32 - 1, "width")
@@ -208,7 +208,12 @@ def ensemble_from_json(doc: dict) -> PathEnsemble:
         raise ValueError(f"colors {doc['colors']!r} is not a list")
     dtype = _mask_dtype(n)
     v, hE, left, bottom = _zero_planes(width, height, dtype)
-    for entry in doc["colors"]:
+    for i, entry in enumerate(doc["colors"]):
+        if not (isinstance(entry, dict) and "color" in entry
+                and all(isinstance(entry.get(k), list) for k in ("v", "h", "left", "bottom"))
+                and all(isinstance(xy, list) and len(xy) == 2
+                        for xy in chain(entry["v"], entry["h"]))):
+            raise ValueError(f"colors[{i}] needs a color, lists v, h of [x, y] pairs, left, bottom")
         bit = dtype(1 << _index(entry["color"], n, "color"))
         for plane, key in ((v, "v"), (hE, "h")):
             for x, y in entry[key]:

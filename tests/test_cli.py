@@ -590,6 +590,12 @@ WRITTEN_PINS = {
         ("hammersley", "--width", "20", "--height", "20", "--coupling-seeds", "3"), "--out",
         {1: "172f78c3fad5b9e6442d3ff60dcd93385f2d9adc103fd6c4be7a7514214f7f60",
          3: "5d47bfd43b5c8ba3c6b052fb8b48bdff3de4a4229d3df834febcb2a3c08042b9"}),
+    # p = 0.1 is not dyadic, so these pin the last bits of the exact-law floats
+    "hammersley-p0.1": (
+        ("hammersley", "--p", "0.1", "--width", "20", "--height", "20", "--coupling-seeds", "3"),
+        "--out",
+        {1: "4738a3ced7f37b837817886fcb1b4b2696560f03310c5a60cde03b9db56ab365",
+         3: "e489e2b850636ac5135cd3d1b0df559c499560e46cf28aeda5823df092871b6d"}),
 }
 
 

@@ -1,15 +1,18 @@
 """Point-process degeneration and the four-symbol collapse of the algebra."""
 
+import ast
 import itertools
+import time
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cs6v_law_oracle import cs6v_height_distribution
-from hammersley_oracle import hammersley_distribution
+from hammersley_oracle import hammersley_distribution, hammersley_fraction_distribution
 from sixvertex.degenerations import (
-    MAX_ENUM_CELLS,
     MAX_TRANSFER_WIDTH,
     PointSet,
     enumerate_cs6v_height_distribution,
@@ -100,16 +103,26 @@ def test_exact_law_enumerators_are_probability_laws():
     assert sum(law2.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-BOXES = [(w, h) for w in range(1, MAX_ENUM_CELLS + 1)
-         for h in range(1, MAX_ENUM_CELLS // w + 1)]
+ORACLE_CELLS = 12  # point subsets of the per-subset oracles: 2**12
+BOXES = [(w, h) for w in range(1, ORACLE_CELLS + 1)
+         for h in range(1, ORACLE_CELLS // w + 1)]
 
 
 @pytest.mark.parametrize("w, h", BOXES)
 def test_exact_law_matches_the_per_subset_oracle(w, h):
-    # same keys, same floats, same insertion order
-    for p in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
+    # where every term is exact in floats: same keys, same floats, same order
+    for p in (0.25, 0.5, 0.75):
         law = enumerate_hammersley_distribution(w, h, p)
         assert list(law.items()) == list(hammersley_distribution(w, h, p).items())
+    # elsewhere against the rational law, which the float subset sum misses by
+    # up to 5.8e-14
+    for p in (0.1, 0.4, 0.9):
+        law = enumerate_hammersley_distribution(w, h, p)
+        exact = hammersley_fraction_distribution(w, h, p)
+        assert law.keys() == {k for k, m in exact.items() if m > 0}, p
+        assert max(abs(Fraction(law[k]) - exact[k]) for k in exact) <= 1e-15, p
+    assert enumerate_hammersley_distribution(w, h, 0.0) == {0: 1.0}
+    assert enumerate_hammersley_distribution(w, h, 1.0) == {min(w, h): 1.0}
 
 
 # Homogeneous fields with entries at 0 and 1, and a 2x2 periodic field that is
@@ -132,20 +145,30 @@ def test_transfer_law_matches_the_walk_oracle(field):
         assert max(abs(law[k] - want[k]) for k in want) <= 1e-14, (w, h)
 
 
-def test_transfer_law_at_the_width_cap_is_a_probability_law():
-    law = enumerate_cs6v_height_distribution(MAX_TRANSFER_WIDTH, 16, make_field(0.3, 0.7))
-    assert set(law) <= set(range(17))
-    assert abs(sum(law.values()) - 1.0) <= 1e-12
+# The two exact corner laws, both through degenerations._transfer_law.
+TRANSFER_LAWS = {
+    "cs6v": lambda w, h: enumerate_cs6v_height_distribution(w, h, make_field(0.3, 0.7)),
+    "hammersley": lambda w, h: enumerate_hammersley_distribution(w, h, 0.3),
+}
 
 
-def test_transfer_memory_does_not_grow_with_height():
-    field = make_field(0.3, 0.7)
-    enumerate_cs6v_height_distribution(2, 2, field)  # first-call allocations are not the box's
+@pytest.mark.parametrize("law", TRANSFER_LAWS.values(), ids=list(TRANSFER_LAWS))
+def test_transfer_law_at_the_width_cap_is_a_probability_law(law):
+    start = time.perf_counter()
+    dist = law(MAX_TRANSFER_WIDTH, 16)
+    assert time.perf_counter() - start < 1.0
+    assert set(dist) <= set(range(17))
+    assert abs(sum(dist.values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("law", TRANSFER_LAWS.values(), ids=list(TRANSFER_LAWS))
+def test_transfer_memory_does_not_grow_with_height(law):
+    law(2, 2)  # first-call allocations are not the box's
     peaks = []
     for height in (2, 16):
         tracemalloc.start()
         try:
-            enumerate_cs6v_height_distribution(MAX_TRANSFER_WIDTH, height, field)
+            law(MAX_TRANSFER_WIDTH, height)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -154,11 +177,38 @@ def test_transfer_memory_does_not_grow_with_height():
 
 @pytest.mark.parametrize("w, h", [(MAX_TRANSFER_WIDTH + 1, 1), (-1, 2), (2, -1)])
 def test_transfer_rejects_boxes_outside_the_width_cap(w, h):
-    with pytest.raises(ValueError, match="widths"):
-        enumerate_cs6v_height_distribution(w, h, make_field(0.3, 0.7))
+    for law in TRANSFER_LAWS.values():
+        with pytest.raises(ValueError, match="widths"):
+            law(w, h)
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+def _kernel_uses(tree):
+    """(kind, enclosing top-level function, line) of every matrix product
+    and every functools cache in a module's syntax tree."""
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "matmul"
+                    or isinstance(node, ast.Name) and node.id == "matmul"
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                yield "matmul", where, node.lineno
+            if (isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+                    or isinstance(node, ast.Name) and node.id == "lru_cache"
+                    or isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "functools" in [getattr(node, "module", None),
+                                        *(a.name for a in node.names)]):
+                yield "cache", where, node.lineno
+
+
+def test_one_transfer_kernel_for_both_exact_laws():
+    # both exact corner laws multiply in _transfer_law, and nothing is cached per box
+    src = Path(__file__).resolve().parents[1] / "src" / "sixvertex" / "degenerations.py"
+    uses = list(_kernel_uses(ast.parse(src.read_text())))
+    assert [u for u in uses if u[:2] != ("matmul", "_transfer_law")] == []
+    assert len(uses) == 1
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf"), float("-inf")])
 def test_exact_law_rejects_p_outside_the_unit_interval(p):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         enumerate_hammersley_distribution(2, 2, p)

@@ -253,6 +253,24 @@ def test_json_parser_rejects_a_malformed_header(key, value):
         ensemble_from_json(doc)
 
 
+# Each of these raised TypeError or KeyError, raised a ValueError that did not
+# name the entry, or was taken, before the color entries were checked.
+@pytest.mark.parametrize("key, value", [
+    ("v", None), ("v", [1]), ("v", [[1]]), ("v", [[1, 1, 1]]), ("h", {"x": 1}), ("h", [(5, 4)]),
+    ("left", None), ("left", 4), ("bottom", None), ("bottom", "5"), (None, None), (None, [[1, 1]]),
+    (None, {"v": [], "h": [], "left": [], "bottom": []}),
+])
+def test_json_parser_rejects_a_malformed_color_entry(key, value):
+    doc = _json_doc()
+    ensemble_from_json(doc)
+    if key is None:
+        doc["colors"].append(value)
+    else:
+        doc["colors"][0][key] = value
+    with pytest.raises(ValueError, match=r"^colors\[\d\] needs a color, lists"):
+        ensemble_from_json(doc)
+
+
 @pytest.mark.parametrize("n_colors", [1.0, True, "1", None])
 def test_path_ensemble_rejects_a_non_integer_color_count(n_colors):
     e = sample_cs6v(5, 4, FIELD, 1)
