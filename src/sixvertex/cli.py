@@ -72,7 +72,7 @@ from .pool import resolve_workers
 from .render_svg import write_svg
 from .report import VerificationReport
 from .rng import MAX_SEED, row_uniforms
-from .serialize import ensemble_to_json, json_chunks, write_ensemble
+from .serialize import _ensemble_doc, json_chunks, write_ensemble
 
 
 class ConfigError(Exception):
@@ -364,7 +364,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
         write_ensemble(e, o["out"], meta)
         wrote.append(o["out"])
     if o.get("json"):
-        _write_json(o["json"], ensemble_to_json(e, meta))
+        _write_json(o["json"], _ensemble_doc(e, meta))
         wrote.append(o["json"])
     if o.get("svg"):
         write_svg(e, o["svg"], comment=json.dumps(meta, sort_keys=True))

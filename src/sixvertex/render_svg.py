@@ -4,7 +4,8 @@ Lines of each color are drawn as unit segments between vertex centers, with
 a small per-color perpendicular offset so co-traveling lines of different
 colors stay visible side by side.  Boundary entries and top/right exits are
 drawn as half-length stubs.  Each coordinate is formatted once per color
-into a lookup table.  Output is deterministic byte for byte.
+into a lookup table, and the vertex dots are joined one column at a time.
+Output is deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def ensemble_svg(e: PathEnsemble, comment: str | None = None) -> str:
     # the top or right exit stub
     xs = [_fmt(X(x)) for x in range(1, e.width + 1)] + [_fmt(X(e.width + 0.5))]
     ys = [_fmt(Y(y)) for y in range(1, e.height + 1)] + [_fmt(Y(e.height + 0.5))]
-    x_stub, y_stub = _fmt(X(0.5)), _fmt(Y(0.5))  # left and bottom entries
+    x_stub, y_stub, x_one, y_one = _fmt(X(0.5)), _fmt(Y(0.5)), _fmt(X(1)), _fmt(Y(1))  # entries
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" height="{h_px}" '
            f'viewBox="0 0 {w_px} {h_px}">']
     if comment is not None:  # no "--" inside and no "-" at the end
@@ -58,8 +59,9 @@ def ensemble_svg(e: PathEnsemble, comment: str | None = None) -> str:
         out.append(f"<!--{comment}{' ' * comment.endswith('-')}-->")
     out.append(f'<rect x="0" y="0" width="{w_px}" height="{h_px}" fill="white" />')
     # vertex dots
-    out.append(_group('fill="#cccccc"', [f'<circle cx="{cx}" cy="{cy}" r="1.5" />'
-                                         for cx in xs[:-1] for cy in ys[:-1]]))
+    out.append(_group('fill="#cccccc"', [
+        f'<circle cx="{cx}" cy="' + f'" r="1.5" /><circle cx="{cx}" cy="'.join(ys[:-1])
+        + '" r="1.5" />' for cx in xs[:-1]] if e.height else []))
     for c in range(1, e.n_colors + 1):
         color = PALETTE[(c - 1) % len(PALETTE)]
         d = (c - (e.n_colors + 1) / 2.0) * OFFSET
@@ -77,9 +79,9 @@ def ensemble_svg(e: PathEnsemble, comment: str | None = None) -> str:
                 lines.append(f'<line x1="{xd[i]}" y1="{ys[j]}" x2="{xd[i]}" y2="{ys[j + 1]}" />')
             if hb:
                 lines.append(f'<line x1="{xs[i]}" y1="{yd[j]}" x2="{xs[i + 1]}" y2="{yd[j]}" />')
-        lines += [f'<line x1="{x_stub}" y1="{yd[j]}" x2="{xs[0]}" y2="{yd[j]}" />'
+        lines += [f'<line x1="{x_stub}" y1="{yd[j]}" x2="{x_one}" y2="{yd[j]}" />'
                   for j in np.flatnonzero((e.boundary_left >> bit) & 1).tolist()]
-        lines += [f'<line x1="{xd[i]}" y1="{y_stub}" x2="{xd[i]}" y2="{ys[0]}" />'
+        lines += [f'<line x1="{xd[i]}" y1="{y_stub}" x2="{xd[i]}" y2="{y_one}" />'
                   for i in np.flatnonzero((e.boundary_bottom >> bit) & 1).tolist()]
         out.append(_group(f'stroke="{color}" stroke-width="2" stroke-linecap="round"', lines))
     out.append("</svg>")

@@ -18,7 +18,8 @@ Binary layout (all integers little-endian):
                      boundary plane (width bits); each plane is packed
                      little-endian bit order and padded to whole 64-bit words.
 
-JSON text: ``json_chunks(doc)`` is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte.
+JSON text: ``json_chunks(doc)`` is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte,
+where a 1-D or (N, 2) integer array is written as its ``.tolist()`` would be.
 """
 
 from __future__ import annotations
@@ -121,55 +122,50 @@ def read_ensemble(path) -> tuple[PathEnsemble, dict]:
         return ensemble_from_bytes(f.read())
 
 
-def ensemble_to_json(e: PathEnsemble, meta: dict | None = None) -> dict:
-    """Lossless debug form: explicit edge coordinate lists per color."""
+def _ensemble_doc(e: PathEnsemble, meta: dict | None = None) -> dict:
+    """ensemble_to_json with each color's v and h as (N, 2) int arrays of
+    [x, y] pairs and left and bottom as 1-D int arrays; json_chunks writes
+    it as the same text."""
     colors = [{
         "color": c,
-        "v": (np.argwhere((e.v_edges >> (c - 1)) & 1) + 1).tolist(),
-        "h": (np.argwhere((e.h_edges >> (c - 1)) & 1) + 1).tolist(),
-        "left": (np.flatnonzero((e.boundary_left >> (c - 1)) & 1) + 1).tolist(),
-        "bottom": (np.flatnonzero((e.boundary_bottom >> (c - 1)) & 1) + 1).tolist(),
+        "v": np.argwhere((e.v_edges >> (c - 1)) & 1) + 1,
+        "h": np.argwhere((e.h_edges >> (c - 1)) & 1) + 1,
+        "left": np.flatnonzero((e.boundary_left >> (c - 1)) & 1) + 1,
+        "bottom": np.flatnonzero((e.boundary_bottom >> (c - 1)) & 1) + 1,
     } for c in range(1, e.n_colors + 1)]
-    out = {
-        "format": "sixvertex-ensemble",
-        "version": VERSION,
-        "variant": e.variant,
-        "width": e.width,
-        "height": e.height,
-        "n_colors": e.n_colors,
-        "colors": colors,
-    }
+    out = {"format": "sixvertex-ensemble", "version": VERSION, "variant": e.variant,
+           "width": e.width, "height": e.height, "n_colors": e.n_colors, "colors": colors}
     if meta is not None:
         out["meta"] = meta
     return out
 
 
-def _int_items(items, inner: str) -> str | None:
-    """The items of a list of ints or of [int, int] pairs, in one join; None
-    for any other list.  Bools are left out: json writes them true/false."""
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        return ("," + inner).join(map(int.__repr__, items))
-    if kinds == {list} and set(map(len, items)) == {2}:
-        flat = tuple(chain.from_iterable(items))
-        if set(map(type, flat)) == {int}:
-            return ("," + inner).join([f"[{inner}  %d,{inner}  %d{inner}]"] * len(items)) % flat
-    return None
+def ensemble_to_json(e: PathEnsemble, meta: dict | None = None) -> dict:
+    """Lossless debug form: explicit edge coordinate lists per color."""
+    doc = _ensemble_doc(e, meta)
+    doc["colors"] = [{k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in entry.items()}
+                     for entry in doc["colors"]]
+    return doc
 
 
 def json_chunks(doc, indent: str = "\n"):
     """Chunks of json.dumps(doc, indent=2, sort_keys=True), byte for byte;
     indent is the newline and indentation of doc's own level.  Numbers are
-    written as json writes them; other scalars and empty containers are
-    json's own text.  Dict keys must be strings."""
+    written as json writes them; a 1-D or (N, 2) integer array as its
+    .tolist() would be, in one join (any other array is json's TypeError);
+    other scalars and empty containers are json's own text.  Dict keys must
+    be strings."""
     inner = indent + "  "
     if isinstance(doc, dict) and doc:
         for i, (k, v) in enumerate(sorted(doc.items())):
             yield f"{',' if i else '{'}{inner}{_quote(k)}: "  # a TypeError unless k is a str
             yield from json_chunks(v, inner)
         yield indent + "}"
-    elif isinstance(doc, (list, tuple)) and doc and (text := _int_items(doc, inner)) is not None:
-        yield f"[{inner}{text}{indent}]"
+    elif isinstance(doc, np.ndarray) and doc.dtype.kind in "iu" \
+            and (doc.ndim == 1 or doc.shape[1:] == (2,)):
+        item = "%d" if doc.ndim == 1 else f"[{inner}  %d,{inner}  %d{inner}]"
+        text = ("," + inner).join([item] * len(doc)) % tuple(doc.ravel().tolist())
+        yield f"[{inner}{text}{indent}]" if len(doc) else "[]"
     elif isinstance(doc, (list, tuple)) and doc:
         for i, v in enumerate(doc):
             yield ("," if i else "[") + inner
@@ -196,11 +192,13 @@ def _index(value, extent: int, what: str) -> int:
 
 
 def ensemble_from_json(doc: dict) -> PathEnsemble:
-    """Inverse of ensemble_to_json, checked as the binary reader is: u32
-    extents, n_colors in 1..MAX_COLORS, and colors a list of objects with a
-    color and lists v and h of [x, y] pairs, left and bottom."""
+    """Inverse of ensemble_to_json, checked as the binary reader is: all five
+    header keys, u32 extents, n_colors in 1..MAX_COLORS, and colors a list of
+    objects with a color and lists v and h of [x, y] pairs, left and bottom."""
     if doc.get("format") != "sixvertex-ensemble":
         raise ValueError("not an ensemble document")
+    if missing := [k for k in ("width", "height", "n_colors", "colors", "variant") if k not in doc]:
+        raise ValueError(f"ensemble document has no {missing[0]}")
     width = _integer(doc["width"], 0, 2**32 - 1, "width")
     height = _integer(doc["height"], 0, 2**32 - 1, "height")
     n = _integer(doc["n_colors"], 1, MAX_COLORS, "n_colors")

@@ -1,11 +1,14 @@
 """Binary, JSON, plain-text, and SVG output formats."""
 
+import ast
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sixvertex import render_svg
 from sixvertex.degenerations import PointSet, sample_pointset
@@ -20,6 +23,7 @@ from sixvertex.lattice import (
 )
 from sixvertex.render_svg import ensemble_svg, write_svg
 from sixvertex.serialize import (
+    _ensemble_doc,
     ensemble_from_bytes,
     ensemble_from_json,
     ensemble_to_bytes,
@@ -34,6 +38,7 @@ from sixvertex.serialize import (
 from svg_oracle import ensemble_svg as oracle_svg
 
 FIELD = make_field(0.3, 0.7)
+SRC = Path(__file__).resolve().parents[1] / "src" / "sixvertex"
 
 
 def _assert_same(a, b):
@@ -253,6 +258,16 @@ def test_json_parser_rejects_a_malformed_header(key, value):
         ensemble_from_json(doc)
 
 
+# Each of these raised KeyError before the header keys were checked.
+@pytest.mark.parametrize("key", ["width", "height", "n_colors", "colors", "variant"])
+def test_json_parser_rejects_a_missing_header_key(key):
+    doc = _json_doc()
+    ensemble_from_json(doc)
+    del doc[key]
+    with pytest.raises(ValueError, match=f"has no {key}$"):
+        ensemble_from_json(doc)
+
+
 # Each of these raised TypeError or KeyError, raised a ValueError that did not
 # name the entry, or was taken, before the color entries were checked.
 @pytest.mark.parametrize("key, value", [
@@ -344,6 +359,96 @@ def test_ensemble_json_text_equals_json_dumps(e):
     assert "".join(json_chunks(doc)) == _dumps(doc)
 
 
+def _tolist(doc):
+    """doc with every array replaced by its .tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _tolist(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_tolist(v) for v in doc]
+    return doc
+
+
+# 1-D and (N, 2) integer arrays, empty and single-row ones included
+INT_ARRAYS = st.tuples(st.sampled_from([np.int64, np.uint8, np.uint32]),
+                       st.sampled_from([0, 1, 2, 5]), st.sampled_from([(), (2,)])).flatmap(
+    lambda t: hnp.arrays(t[0], (t[1],) + t[2]))
+ARRAY_DOCS = st.recursive(
+    st.one_of(INT_ARRAYS, SCALARS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARRAY_DOCS)
+def test_json_text_of_integer_arrays_equals_json_dumps_of_their_lists(doc):
+    assert "".join(json_chunks(doc)) == _dumps(_tolist(doc))
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([2**63 - 1, -2**63, 0]), np.array([[2**63 - 1, 1]]), np.array([255], np.uint8),
+    np.array([[2**32 - 1, 0]], np.uint32), np.zeros(0, np.int64), np.zeros((0, 2), np.uint8),
+    np.arange(6).reshape(3, 2)[::-1], np.arange(10)[::3],
+], ids=["int64-extremes", "int64-pair", "uint8", "uint32-pair", "empty", "empty-pairs",
+        "reversed-pairs", "strided"])
+def test_json_text_of_integer_array_edge_cases(arr):
+    doc = {"a": arr, "b": [arr, {"c": arr}]}
+    assert "".join(json_chunks(doc)) == _dumps(_tolist(doc))
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([1.0, 2.0]), np.array([True, False]), np.array([1, 2], dtype=object),
+    np.zeros((2, 2, 2), np.int64), np.zeros((2, 3), np.int64), np.zeros((2, 1), np.int64),
+    np.array(7),
+], ids=["float", "bool", "object", "3-D", "N-by-3", "N-by-1", "0-D"])
+def test_json_text_rejects_other_arrays_as_json_does(arr):
+    with pytest.raises(TypeError):
+        json.dumps({"a": arr})
+    with pytest.raises(TypeError):
+        "".join(json_chunks({"a": arr}))
+
+
+def _sample_with_an_empty_color():
+    e = sample_colored_cs6v(4, make_coloring(2, 1, FIELD), FIELD, 3)
+    keep = ~e.v_edges.dtype.type(4)  # color 3 has no edge and no entry
+    planes = [a & keep for a in (e.v_edges, e.h_edges, e.boundary_left, e.boundary_bottom)]
+    assert all(a.any() for a in planes[:2])
+    return PathEnsemble(e.variant, e.n_colors, e.width, e.height, *planes)
+
+
+DOC_SAMPLES = {
+    "s6v": sample_s6v(13, 9, FIELD, 1),
+    "cs6v": sample_cs6v(9, 13, FIELD, 2),
+    **{f"colored{n}": sample_colored_cs6v(n, make_coloring(1, 1, FIELD), FIELD, n)
+       for n in (1, 10, 24, 32)},
+    "colored-empty-color": _sample_with_an_empty_color(),
+}
+
+
+@pytest.mark.parametrize("name", DOC_SAMPLES)
+def test_ensemble_doc_text_equals_json_dumps_of_ensemble_to_json(name):
+    e = DOC_SAMPLES[name]
+    meta = {"seed": 1, "note": "x"}
+    assert "".join(json_chunks(_ensemble_doc(e, meta))) == _dumps(ensemble_to_json(e, meta))
+
+
+def test_the_cli_writes_ensembles_from_their_edge_arrays():
+    # the sample command formats the edge arrays themselves, and the list fast
+    # path they replaced is gone
+    cli = ast.parse((SRC / "cli.py").read_text())
+    named = [getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+             for node in ast.walk(cli) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    assert "ensemble_to_json" not in named
+    assert "_ensemble_doc" in named
+    serialize = ast.parse((SRC / "serialize.py").read_text())
+    defined = [node.name if isinstance(node, ast.FunctionDef) else node.id
+               for node in ast.walk(serialize) if isinstance(node, ast.FunctionDef)
+               or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    assert "json_chunks" in defined and "_int_items" not in defined
+
+
 # ---------------------------------------------------------------------------
 # SVG: the table-driven renderer against the per-coordinate oracle
 
@@ -353,7 +458,13 @@ def _svg_cases():
     w, h = 13, 9
     left = (rng.random(h) < 0.5).astype(np.uint8) * 2
     bottom = (rng.random(w) < 0.5).astype(np.uint8) * 2
-    return {
+    # boxes with an empty side and a single vertex, every edge and entry of
+    # both colors on: no dots on an empty side, stubs ending at column and row 1
+    boxes = {f"box{w}x{h}": PathEnsemble("cs6v", 2, w, h, np.full((w, h), 3, np.uint8),
+                                         np.full((w, h), 3, np.uint8), np.full(h, 3, np.uint8),
+                                         np.full(w, 3, np.uint8))
+             for w, h in [(3, 0), (0, 3), (0, 0), (1, 1)]}
+    return boxes | {
         "colored10": sample_colored_cs6v(10, make_coloring(2, 3, FIELD), FIELD, 1),
         "colored24": sample_colored_cs6v(24, make_coloring(1, 1, FIELD), FIELD, 2),
         "two-colored": sample_two_colored_with_boundary(w, h, FIELD, left, bottom, 3),
