@@ -319,7 +319,7 @@ FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 SCALARS = st.one_of(st.none(), INTS, FLOATS, FLOATS.map(np.float64),
                     st.text(alphabet=st.sampled_from('aé"\\/\x00\n\x1f\u2028\U0001f600-'),
                             max_size=6))
-# the fast paths: lists of ints and lists of [int, int] pairs, bools included
+# lists of ints and of [int, int] pairs, as edge lists are, bools included
 INT_LISTS = st.one_of(st.lists(INTS, max_size=5),
                       st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=4))
 DOCS = st.recursive(
