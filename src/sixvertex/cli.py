@@ -352,8 +352,10 @@ def _cmd_sample(cfg: RunConfig) -> int:
     if model == "colored":
         x, y = _parse_direction(o["dir"])
         blocks = _check_number(o, "blocks", 1, MAX_COLORS)
-        scheme = make_coloring(x, y, field)
-        e = sample_colored_cs6v(blocks, scheme, field, seed, replica)
+        try:  # the sampler checks its box before sampling
+            e = sample_colored_cs6v(blocks, make_coloring(x, y, field), field, seed, replica)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         w, h = _check_number(o, "width", 1, None), _check_number(o, "height", 1, None)
         sampler = sample_s6v if model == "s6v" else sample_cs6v

@@ -222,6 +222,37 @@ def _carry_rows(mask: int, coins, south: int = 0, west=0):
         yield s, carries >> 1
 
 
+def _liquid_rows(width: int, height: int, field: ParameterField, seed: int, replica: int):
+    """_carry_rows((1 << width) - 1, _coin_rows(...)), drawing only coins that can
+    matter: a vertex entered by one line passes it on whatever its coins, so row y's
+    t trailing south lines and a west line past its last south line need none.  Row y
+    draws from column t + 1 rounded down to odd (a Philox block), in chunks that double
+    (for the rest of the sweep) until one nucleates past that line or the row ends."""
+    a, s, mask = np.arange(width) % field.I, 0, (1 << width) - 1
+    params = [field._thresholds[a, b] for b in range(min(field.J, height))]
+
+    def coins(step=2):  # reads s, the row's south word
+        for y, thresholds in zip(range(1, height + 1), itertools.cycle(params)):
+            top, cross, nucleate = s.bit_length(), 0, 0
+            lo, hi = (s ^ (s + 1)).bit_length() - 1 & ~1, top + step
+            if hi >= width and lo < step:  # too little to leave out: the full draw
+                yield _coins(rng.row_words(seed, replica, y, width), thresholds, mask)
+                continue
+            while lo < width:  # a cell redrawn at an odd hi gets the same coins
+                hi = min(hi, width)
+                c, n = _coins(rng.row_words(seed, replica, y, hi - lo, lo + 1),
+                              thresholds[lo:hi], (1 << hi - lo) - 1)
+                cross, nucleate = cross | c << lo, nucleate | n << lo
+                if nucleate >> top or hi == width:
+                    break
+                step *= 2
+                lo, hi = hi & ~1, hi + step
+            yield cross, nucleate
+
+    for s, east in _carry_rows(mask, coins()):
+        yield s, east
+
+
 def sample_s6v(width: int, height: int, field: ParameterField, seed: int,
                replica: int = 0) -> PathEnsemble:
     """Sample the six vertex model with step initial data on a width x height box.
@@ -462,6 +493,8 @@ def sample_colored_cs6v(n_blocks: int, scheme: ColoringScheme, field: ParameterF
     if not 1 <= n_blocks <= MAX_COLORS:
         raise ValueError(f"n_blocks must be in 1..{MAX_COLORS}")
     width, height = scheme.bx * n_blocks, scheme.by * n_blocks
+    if max(width, height) > rng.MAX_SEED:
+        raise ValueError(f"box side above {rng.MAX_SEED}, the coins' address space")
     dtype = _mask_dtype(n_blocks)
     return _sweep_levels(width, height, n_blocks, field, seed, replica, np.zeros(height, dtype),
                          np.zeros(width, dtype), (scheme.bx, scheme.by))

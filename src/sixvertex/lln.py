@@ -10,8 +10,8 @@ direction certify that the ergodic-theorem hypotheses hold empirically
 (two-sample KS tests on counts read off replicas run as lanes of one
 packed carry sweep of the colored levels), and convergence experiments
 report Cauchy gaps and replica spread instead of a reference value.
-Convergence experiments read their heights while the sampler sweeps the
-rows, so a replica holds O(width) state, never a box.
+Convergence experiments read heights as the sweep passes (O(width) state
+per replica) and draw only the coins that can matter (lattice._liquid_rows).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .lattice import (
     PathEnsemble,
     LANE_BITS,
     _carry_rows,
-    _coin_rows,
     _lane_coin_rows,
+    _liquid_rows,
     _row_bits,
     height_H,
     make_coloring,
@@ -40,6 +40,7 @@ from .lattice import (
 )
 from .lmatrix import MAX_COLORS
 from .report import VerificationReport
+from .rng import MAX_SEED
 
 #: Significance level of the two KS tests in verify_ergodic_hypotheses.
 KS_ALPHA = 0.01
@@ -305,14 +306,14 @@ def _floor_point(x: Fraction, y: Fraction, n: int) -> tuple[int, int]:
 
 def _ratio_task(args):
     """One replica's ratios for ascending sizes, read off while one carry sweep
-    of _coin_rows advances to each floor point (px, py): the popcount of row
-    py's north word below bit px is H for cs6v, for hammersley (b1 = 0) the
-    longest chain of the coupled point set (sample_pointset), and py - h for s6v."""
+    of _liquid_rows (the full draw's rows) advances to each floor point (px, py):
+    the popcount of row py's north word below bit px is H for cs6v, for hammersley
+    (b1 = 0) the longest chain of the coupled point set, and py - h for s6v."""
     model, b1, b2, xs, ys, sizes, seed, replica = args
     field = ParameterField(np.asarray(b1), np.asarray(b2))
     x, y = Fraction(xs), Fraction(ys)
     wmax, hmax = _floor_point(x, y, max(sizes))
-    rows = _carry_rows((1 << wmax) - 1, _coin_rows(wmax, hmax, field, seed, replica))
+    rows = _liquid_rows(wmax, hmax, field, seed, replica)
     step = model == "s6v"
     out, at = [], 0
     for n in sizes:
@@ -335,13 +336,15 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
     Cauchy behavior along a growing sample.  The heights are read as the
     packed-bit carry sweep passes each floor row, one popcount per size, so
     a replica holds O(width) memory (plus the field's J parameter rows), not
-    the box.  sizes must be integers (a bool or a non-integral value is
-    rejected, not rounded), and every floor point must have both coordinates
-    >= 1.  With homogeneous parameters the closed-form limit is attached as
-    reference.  model="hammersley" needs the 1x1 field b1 = 0, b2 = 1 - p in
-    (0, 1): it sweeps the cs6v coins, whose height at b1 = 0 is the longest
-    chain of the coupled Bernoulli(p) point set, so its ratios are cs6v's and
-    only its reference differs.
+    the box; it draws no coin of a vertex entered by one line, which passes
+    it on whatever its coins, so every ratio is the full draw's bit for bit.
+    sizes must be integers (a bool or a non-integral value is rejected, not
+    rounded), every floor point must have both coordinates in 1..rng.MAX_SEED
+    (the coins' address space).  With homogeneous parameters the closed-form
+    limit is attached as reference.  model="hammersley" needs the 1x1 field
+    b1 = 0, b2 = 1 - p in (0, 1): it sweeps the cs6v coins, whose height at
+    b1 = 0 is the longest chain of the coupled Bernoulli(p) point set, so its
+    ratios are cs6v's and only its reference differs.
     """
     x, y = Fraction(direction[0]), Fraction(direction[1])
     if x <= 0 or y <= 0:
@@ -355,6 +358,8 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
         raise ValueError("sizes must be positive")
     if min(_floor_point(x, y, sizes[0])) < 1:
         raise ValueError(f"size {sizes[0]} yields an empty box in direction ({x}, {y})")
+    if max(_floor_point(x, y, sizes[-1])) > MAX_SEED:
+        raise ValueError(f"size {sizes[-1]}: box side above {MAX_SEED}, the coins' address space")
     if model not in ("s6v", "cs6v", "hammersley"):
         raise ValueError(f"unknown model {model!r}")
     if model == "hammersley" and not (field.I == field.J == 1 and field.b1[0, 0] == 0

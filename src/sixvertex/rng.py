@@ -39,15 +39,11 @@ _STATE = {"bit_generator": "Philox", "state": _LANE, "buffer": (0, 0, 0, 0), "bu
           "has_uint32": 0, "uinteger": 0}
 
 
-def _stream_words(seed: int, replicas, row: int, widths) -> list:
-    """The first 2 * widths[i] raw words (widths[i] cells) of replica
-    replicas[i]'s row stream: the one reset of the shared bit generator.  The
-    addresses, each one 64-bit word, are checked once per call."""
-    if not (0 <= seed <= MAX_SEED and 0 <= min(replicas) and max(replicas) <= MAX_SEED
-            and 1 <= row <= MAX_SEED) or min(widths) < 1:
-        raise ValueError("need seed and replicas in 0..MAX_SEED, row in 1..MAX_SEED "
-                         "and widths >= 1")
-    _LANE["counter"], words = (0, 0, row, 0), []
+def _stream_words(seed: int, replicas, row: int, widths, first: int = 1) -> list:
+    """The 2 * widths[i] raw words of widths[i] cells from the odd column first
+    (Philox block (first - 1) // 2) on of replica replicas[i]'s row stream: the
+    one reset of the shared bit generator.  The callers check the addresses."""
+    _LANE["counter"], words = ((first - 1) >> 1, 0, row, 0), []
     for r, w in zip(replicas, widths):
         _LANE["key"] = (seed, r)  # tuples: the setter reads them faster than lists
         _BITGEN.state = _STATE
@@ -55,18 +51,24 @@ def _stream_words(seed: int, replicas, row: int, widths) -> list:
     return words
 
 
-def row_words(seed: int, replica: int, row: int, width: int) -> np.ndarray:
-    """The raw Philox words of one lattice row: uint64, shape (width, 2).
-
-    Row x-1 holds column x's pair (w1, w2); the stream is consumed two words
-    per cell, so a column sees the same pair however wide the row is drawn.
+def row_words(seed: int, replica: int, row: int, width: int, first: int = 1) -> np.ndarray:
+    """The raw Philox words of columns first..first+width-1 (first odd) of one
+    lattice row: uint64, shape (width, 2).  Row x-first holds column x's pair
+    (w1, w2); the stream is consumed two words per cell, so a column sees the
+    same pair however the row is cut.
     """
-    return _stream_words(seed, (replica,), row, (width,))[0].reshape(width, 2)
+    if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED and 1 <= row <= MAX_SEED
+            and 1 <= width and 1 <= first and first & 1 and first + width <= 2 * MAX_SEED + 1):
+        raise ValueError("need 64-bit seed, replica, row >= 1 and last block, width >= 1, odd first")
+    return _stream_words(seed, (replica,), row, (width,), first)[0].reshape(width, 2)
 
 
 def lane_words(seed: int, replicas: list, row: int, widths: list) -> np.ndarray:
     """row_words(seed, r, row, w), raveled, for each lane (r, w) of zip(replicas,
     widths), concatenated: the lane sweeps' draw."""
+    if not (0 <= seed <= MAX_SEED and 0 <= min(replicas) and max(replicas) <= MAX_SEED
+            and 1 <= row <= MAX_SEED) or min(widths) < 1:
+        raise ValueError("need seed and replicas in 0..MAX_SEED, row >= 1 and widths >= 1")
     return np.concatenate(_stream_words(seed, replicas, row, widths))
 
 

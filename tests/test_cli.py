@@ -125,6 +125,12 @@ def test_config_file_layering(tmp_path):
     (["converge", "--seed", "1", "--model", "hammersley", "--p", "0.25", "--b2", "0.75",
       "--sizes", "10", "--replicas", "1"], "--b2"),
     (["sample", "--seed", "1", "--field", "field.json", "--b2", "0.5"], "--b2"),
+    # a box side past 2**64 - 1 has no coin addresses; it is rejected before
+    # any sampling or reference computation
+    (["converge", "--seed", "1", "--sizes", "10", "--dir", "1e300,1"], "address space"),
+    (["converge", "--seed", "1", "--sizes", "10", "--dir", "1e400,1"], "address space"),
+    (["sample", "--model", "colored", "--seed", "1", "--blocks", "2", "--dir", "1e300,1"],
+     "address space"),
 ])
 def test_config_errors_are_json_on_stderr(argv, fragment, capsys):
     rc = main(argv)

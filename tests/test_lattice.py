@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sixvertex import lattice
+from sixvertex import lattice, rng
 from sixvertex.lattice import (
     ColoringScheme,
     ParameterField,
     PathEnsemble,
     _carry_rows,
     _coin_rows,
+    _liquid_rows,
     _replay_s6v,
     admissibility_violations,
     complement,
@@ -162,6 +163,39 @@ def test_carry_kernel_matches_numpy_oracle(width, field, seed):
             assert np.array_equal(_bits(north, width), o_north), (variant, y)
             assert np.array_equal(_bits(east ^ flip, width), o_east), (variant, y)
         assert y == height
+
+
+# Fields that move or remove the frozen corners: b2 near 1 forces the
+# window's extension past the last south line, b1 = 0 and b1 = 1 remove
+# crossing or annihilation, and a 3x2 periodic field mixes 0 and 1 entries.
+LIQUID_FIELDS = {
+    "homogeneous": HOMOG,
+    "b2=0.99": make_field(0.3, 0.99),
+    "b2=0.999": make_field(0.3, 0.999),
+    "b2=1": make_field(0.3, 1.0),
+    "b1=0": make_field(0.0, 0.7),
+    "b1=1": make_field(1.0, 0.7),
+    "3x2": make_field([[0.0, 1.0], [0.3, 0.5], [1.0, 0.2]],
+                      [[1.0, 0.0], [0.7, 0.99], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 9, 65, 200])
+@pytest.mark.parametrize("field", list(LIQUID_FIELDS))
+@pytest.mark.parametrize("seed", [1, 5])
+def test_liquid_rows_equal_the_full_draw(width, field, seed, monkeypatch):
+    f, height, mask = LIQUID_FIELDS[field], 2 * width + 3, (1 << width) - 1
+    full = list(_carry_rows(mask, _coin_rows(width, height, f, seed, 2)))
+    cells, draw = [], rng._stream_words
+
+    def counted(seed, replicas, row, widths, first=1):
+        cells.append(sum(widths))
+        return draw(seed, replicas, row, widths, first)
+
+    monkeypatch.setattr(rng, "_stream_words", counted)
+    assert list(_liquid_rows(width, height, f, seed, 2)) == full
+    if field == "b2=1":  # nothing nucleates, so every row extends to its end
+        assert sum(cells) == width * height
 
 
 # SHA-256 of ensemble_to_bytes pinned from the columnwise numpy sweep, before

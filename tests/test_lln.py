@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sixvertex import lln
+from sixvertex import lln, rng
 from sixvertex.degenerations import hammersley_height, sample_pointset
 from sixvertex.lattice import (
+    _coin_rows,
     height_H,
     height_h,
     make_coloring,
@@ -375,6 +376,31 @@ def test_streamed_ratios_match_materialized_arrays(model, field, direction):
         oracle = [_materialized_ratios(model, field, direction, sizes, seed, r)
                   for r in range(3)]
         assert rep.ratios.tolist() == oracle
+
+
+def _drawn_cells(monkeypatch, run) -> int:
+    """Cells of Philox words drawn while run() runs."""
+    cells, draw = [], rng._stream_words
+
+    def counted(seed, replicas, row, widths, first=1):
+        cells.append(sum(widths))
+        return draw(seed, replicas, row, widths, first)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(rng, "_stream_words", counted)
+        run()
+    return sum(cells)
+
+
+@pytest.mark.parametrize("model, b1, b2, bound", [
+    ("s6v", 0.3, 0.7, 650_000), ("cs6v", 0.3, 0.7, 650_000), ("hammersley", 0.0, 0.75, 800_000)])
+def test_converge_draws_only_the_liquid_region(model, b1, b2, bound, monkeypatch):
+    # The frozen corners hold (1-b2)/(1-b1) of the box in the limit: 3/7 at
+    # (0.3, 0.7), 1/4 at p = 0.25.  The full draw of a 1000^2 box takes 10^6.
+    field = make_field(b1, b2)
+    assert _drawn_cells(monkeypatch, lambda: list(_coin_rows(1000, 1000, field, 1, 0))) == 10**6
+    task = (model, [[b1]], [[b2]], "1", "1", [1000], 1, 0)
+    assert 0 < _drawn_cells(monkeypatch, lambda: _ratio_task(task)) <= bound
 
 
 @pytest.mark.parametrize("model, b1, b2", [

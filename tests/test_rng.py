@@ -73,6 +73,30 @@ def test_row_uniforms_rejects_bad_addresses():
             rng.row_uniforms(*args)
 
 
+def test_row_words_from_an_odd_column_are_a_slice_of_the_row():
+    for seed, replica, row in ((0, 0, 1), (7, 3, 50), (2**64 - 1, 2**64 - 1, 2**64 - 1)):
+        full = rng.row_words(seed, replica, row, 23)
+        for first in range(1, 22, 2):
+            for width in (1, 2, 22 - first):
+                got = rng.row_words(seed, replica, row, width, first)
+                assert np.array_equal(got, full[first - 1:first - 1 + width]), (first, width)
+    # columns 2**65 - 3 and 2**65 - 2 fill the last block, counter word 2**64 - 1
+    counter = np.array([2**64 - 2, 0, 9, 0], dtype=np.uint64)
+    last = np.random.Philox(key=[5, 1], counter=counter).random_raw(4)
+    assert rng.row_words(5, 1, 9, 2, 2**65 - 3).ravel().tolist() == last.tolist()
+
+
+def test_row_words_rejects_every_out_of_range_address():
+    # (seed, replica, row, width, first): the key words, the row, a first
+    # column that is 0, negative or even, and a last block past 2**64
+    for args in ((-1, 0, 1, 1, 1), (2**64, 0, 1, 1, 1), (0, -1, 1, 1, 1), (0, 2**64, 1, 1, 1),
+                 (0, 0, 0, 1, 1), (0, 0, 2**64, 1, 1), (0, 0, 1, 0, 1),
+                 (0, 0, 1, 1, 0), (0, 0, 1, 1, -1), (0, 0, 1, 1, 2), (0, 0, 1, 4, 10),
+                 (0, 0, 1, 1, 2**65 - 1), (0, 0, 1, 3, 2**65 - 3), (0, 0, 1, 2**65, 1)):
+        with pytest.raises(ValueError):
+            rng.row_words(*args)
+
+
 def test_lane_words_match_row_words_lane_by_lane():
     # uneven widths, extreme keys, and row_words draws in between: each lane
     # rekeys the shared Philox, so no state may leak from one lane or call
@@ -152,10 +176,11 @@ def _bits(word, width):
 
 @contextlib.contextmanager
 def _patched_words(words):
-    """A context in which every row draw returns `words` on both coins."""
+    """A context in which every row draw returns `words` on both coins: a
+    draw of columns first..first+width-1 returns that slice of them."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "row_words", lambda seed, replica, row, width:
-                   np.stack((words, words), axis=1))
+        mp.setattr(rng, "row_words", lambda seed, replica, row, width, first=1:
+                   np.stack((words, words), axis=1)[first - 1:first - 1 + width])
         yield
 
 
