@@ -238,7 +238,7 @@ def _liquid_rows(width: int, height: int, field: ParameterField, seed: int, repl
             if hi >= width and lo < step:  # too little to leave out: the full draw
                 yield _coins(rng.row_words(seed, replica, y, width), thresholds, mask)
                 continue
-            while lo < width:  # a cell redrawn at an odd hi gets the same coins
+            while lo < width:
                 hi = min(hi, width)
                 c, n = _coins(rng.row_words(seed, replica, y, hi - lo, lo + 1),
                               thresholds[lo:hi], (1 << hi - lo) - 1)
@@ -246,7 +246,7 @@ def _liquid_rows(width: int, height: int, field: ParameterField, seed: int, repl
                 if nucleate >> top or hi == width:
                     break
                 step *= 2
-                lo, hi = hi & ~1, hi + step
+                lo, hi = hi & ~1, hi + step  # a cell redrawn at an odd hi gets the same coins
             yield cross, nucleate
 
     for s, east in _carry_rows(mask, coins()):
