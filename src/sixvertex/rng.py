@@ -59,7 +59,7 @@ def row_words(seed: int, replica: int, row: int, width: int, first: int = 1) -> 
     """
     if not (0 <= seed <= MAX_SEED and 0 <= replica <= MAX_SEED and 1 <= row <= MAX_SEED
             and 1 <= width and 1 <= first and first & 1 and first + width <= 2 * MAX_SEED + 1):
-        raise ValueError("need 64-bit seed, replica, row >= 1 and last block, width >= 1, odd first")
+        raise ValueError("need 64-bit seed, replica, row >= 1, last block, width >= 1, odd first")
     return _stream_words(seed, (replica,), row, (width,), first)[0].reshape(width, 2)
 
 
