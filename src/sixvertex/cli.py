@@ -50,6 +50,7 @@ from .lattice import (
     ParameterField,
     _replay_s6v,
     admissibility_violations,
+    complement,
     height_H,
     make_coloring,
     make_field,
@@ -306,7 +307,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     hid = VerificationReport("height complement identity")
     for i, (w, h) in enumerate(((17, 13), (64, 64))):
         es = sample_s6v(w, h, field, seed, replica=i)
-        ec = sample_cs6v(w, h, field, seed, replica=i)
+        ec = complement(es)
         dual.cases += 1
         v, hE = _replay_s6v(field, [row_uniforms(seed, i, y, w) for y in range(1, h + 1)])
         if not (np.array_equal(v, es.v_edges) and np.array_equal(hE, es.h_edges)):

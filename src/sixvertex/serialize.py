@@ -87,10 +87,14 @@ def ensemble_from_bytes(buf: bytes) -> tuple[PathEnsemble, dict]:
         raise ValueError("not an ensemble file (bad magic)")
     if len(buf) < 24:
         raise ValueError("truncated ensemble data")
-    version, flags, width, height, n_colors, _, meta_len = struct.unpack(
+    version, flags, width, height, n_colors, reserved, meta_len = struct.unpack(
         "<HHIIHHI", buf[4:24])
     if version != VERSION:
         raise ValueError(f"unsupported format version {version}")
+    if flags & ~1:
+        raise ValueError(f"flags {flags:#x} set bits other than bit 0 (the variant)")
+    if reserved:
+        raise ValueError(f"reserved field {reserved:#x} is not zero")
     if not 1 <= n_colors <= MAX_COLORS:
         raise ValueError(f"n_colors {n_colors} outside 1..{MAX_COLORS}")
     # The header fixes the total length (so meta_len must fit); check it
@@ -102,6 +106,8 @@ def ensemble_from_bytes(buf: bytes) -> tuple[PathEnsemble, dict]:
         raise ValueError(f"ensemble data is {len(buf)} bytes, "
                          f"its header implies {expected}")
     meta = json.loads(buf[24:offset].decode("utf-8")) if meta_len else {}
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata {meta!r} is not a JSON object")
     dtype = _mask_dtype(n_colors)
     planes = _zero_planes(width, height, dtype)
     for c in range(n_colors):
@@ -192,13 +198,16 @@ def _index(value, extent: int, what: str) -> int:
 
 
 def ensemble_from_json(doc: dict) -> PathEnsemble:
-    """Inverse of ensemble_to_json, checked as the binary reader is: all five
-    header keys, u32 extents, n_colors in 1..MAX_COLORS, and colors a list of
-    objects with a color and lists v and h of [x, y] pairs, left and bottom."""
+    """Inverse of ensemble_to_json, checked as the binary reader is: all six
+    header keys, version VERSION, u32 extents, n_colors in 1..MAX_COLORS, and
+    colors a list of objects with a color and lists v and h of [x, y] pairs,
+    left and bottom."""
     if doc.get("format") != "sixvertex-ensemble":
         raise ValueError("not an ensemble document")
-    if missing := [k for k in ("width", "height", "n_colors", "colors", "variant") if k not in doc]:
+    if missing := [k for k in ("version", "width", "height", "n_colors", "colors", "variant")
+                   if k not in doc]:
         raise ValueError(f"ensemble document has no {missing[0]}")
+    _integer(doc["version"], VERSION, VERSION, "version")
     width = _integer(doc["width"], 0, 2**32 - 1, "width")
     height = _integer(doc["height"], 0, 2**32 - 1, "height")
     n = _integer(doc["n_colors"], 1, MAX_COLORS, "n_colors")

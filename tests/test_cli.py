@@ -543,18 +543,19 @@ def test_verify_battery_shape_is_pinned(tmp_path, capsys):
 
 
 # SHA-256 of the verify report's checks array (json.dumps of the parsed
-# list) and of stdout, pinned before the monotonicity trials were run as
-# lanes of one sweep: (argv after the seed, seed) -> (checks, stdout).
+# list) and of stdout: (argv after the seed, seed) -> (checks, stdout).
+# stdout was pinned before the monotonicity trials were run as lanes of one
+# sweep, the checks when the KS p-values became the exact equal-size law.
 BATTERY_ARGV = ("--n", "4", "--trials", "2000", "--max-size", "16", "--replicas", "500")
 BATTERY_STDOUT = "675736de3ae4d484b974b14e3ac6e0cc9771fc6c827ee03add9c67813e2e377c"
 VERIFY_PINS = [
-    (BATTERY_ARGV, 1, "1bf2a9d2d4dfce0bfe872512656aaf50c7e68e9722c492e5f273b02133951f9e",
+    (BATTERY_ARGV, 1, "63deae8a0277299e02334dfdd384142076fa163d659ed350c75fac41585dc45b",
      BATTERY_STDOUT),
-    (BATTERY_ARGV, 2, "013018e5e6aff2abb8dde557c8f0e1d694393cfa87c90b7fe7c8f2eb46e83077",
+    (BATTERY_ARGV, 2, "6b8e1af17b629236c457e1d3d5d25118b5907c695276b49c5ccc39225dddbdba",
      BATTERY_STDOUT),
-    (BATTERY_ARGV, 3, "e31461215cb113689488c6addccf686a3987bcfc7364bbaf293b7fee041565ca",
+    (BATTERY_ARGV, 3, "6b35ca77bde95fcc157ec991ee922aaf76360d0552e7d4973917d615df3c01e6",
      BATTERY_STDOUT),
-    ((), 1, "1076ae459eaef9470e14f5e3aef849194d4f8190bd0b7190a1657ad462719291",
+    ((), 1, "34e8d10765db722446047cc4a47212215dde4010bbb8fc8d1a876032c07f50be",
      "59181b8243ea0c683667a7ee8171f0dc087a20bb6e45387ef029f5d49e17a3a5"),
 ]
 
@@ -572,7 +573,8 @@ def test_verify_report_and_stdout_are_pinned(argv, seed, checks_sha, stdout_sha,
 
 # SHA-256 of the bytes each command writes (not a re-dump of the parsed
 # document), pinned before the JSON writer left json.dump, the hammersley
-# report's after it lost its convergence run: (argv after the seed, output
+# report's after it lost its convergence run, the verify report's when its
+# KS p-values became the exact equal-size law: (argv after the seed, output
 # flag, {seed: digest}).  The provenance, version string
 # included, is part of the bytes.
 WRITTEN_PINS = {
@@ -586,8 +588,8 @@ WRITTEN_PINS = {
          3: "6eb795b18626255bc5518b0d1cc7e6777e6789851e0f73b1677050abeba39909"}),
     "verify-battery": (
         ("verify", *BATTERY_ARGV), "--out",
-        {1: "93b26a3c14584763a02d6cadd77fd7587489e6e00f2c1cc77cfa17d737a8a723",
-         3: "9eb35915b61fd27c258c029e6790911a2cda9e934b7da07d1df09e027e9a6b19"}),
+        {1: "0400704c13fc11330ee3127806dd3378093eff399beb07bce95c4d0bdf158673",
+         3: "6ac47dacc9ed4fa6675cd870587fcd971df7bf46c2a3cfac05b938739345cad1"}),
     "converge-s6v": (
         ("converge", "--model", "s6v", "--sizes", "100,200,400", "--replicas", "3"), "--json",
         {1: "00e88f5edd1030bc14700c9b358f8c5052b26386ebeedb774beefc54b10e9511",

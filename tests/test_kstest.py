@@ -1,106 +1,81 @@
-"""The package's KS p-value against scipy.stats, bit for bit.
+"""The ergodic check's KS p-value, lln._ks_pvalue, against scipy.stats and
+an exact rational oracle; and the package's runtime dependencies.
 
 scipy.stats is the oracle here only; the package itself never imports it.
 """
 
+import ast
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import sixvertex
-from sixvertex import kstest
-from sixvertex.kstest import kolmogorov_sf, ks_2samp_pvalue
+from sixvertex.lln import KS_ALPHA, _ks_pvalue
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bits(p) -> str:
-    return float(p).hex()  # 'nan' on both sides for NaN
+def _gap(h, R):
+    """Two samples of size R whose count gap, and so KS statistic, is h/R."""
+    return [0] * h + [1] * (R - h), [1] * R
 
 
-def _branch(n, x) -> str:
-    """The branch P(D_n >= x) takes under the Simard-L'Ecuyer selection rules."""
-    t, s = n * x, n * x * x
-    if x <= 0.5 / n:
-        return "support cut-off"
-    if x >= 1.0:
-        return "x >= 1"
-    if t <= 1.0:
-        return "Ruben-Gambino n <= 140" if n <= 140 else "Ruben-Gambino n > 140"
-    if t >= n - 1:
-        return "Ruben-Gambino t >= n-1"
-    if x >= 0.5:
-        return "smirnov x >= 0.5"
-    if n <= 140:
-        return "Durbin" if s <= 0.754693 else "Pomeranz" if s <= 4 else "smirnov n <= 140"
-    if s >= 370.0:
-        return "n x^2 >= 370"
-    if s >= 2.2:
-        return "smirnov n > 140"
-    return "Durbin" if n <= 100000 and n * x ** 1.5 <= 1.4 else "Pelz-Good"
-
-
-# the helper each branch must call, if any
-SPIED = {"Durbin": "_kolmogn_dmtw", "Pomeranz": "_kolmogn_pomeranz",
-         "Pelz-Good": "_kolmogn_pelz_good", "smirnov x >= 0.5": "_smirnov_tail",
-         "smirnov n <= 140": "_smirnov_tail", "smirnov n > 140": "_smirnov_tail"}
-BRANCHES = set(SPIED) | {"support cut-off", "x >= 1", "Ruben-Gambino n <= 140",
-                         "Ruben-Gambino n > 140", "Ruben-Gambino t >= n-1", "n x^2 >= 370"}
-
-GRID_N = (1, 2, 3, 5, 8, 10, 16, 20, 75, 140, 141, 250, 1000, 5000, 100001)
-GRID_X = (0.0, 0.001, 0.003, 0.01, 0.02, 0.03, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3,
-          0.45, 0.5, 0.6, 0.9, 1.0)
-
-
-def _grid():
-    for n in GRID_N:
-        xs = set(GRID_X)
-        for k in range(min(n, 12) + 1):  # the knots k/n of the piecewise polynomial
-            xs.update((np.nextafter(k / n, 0.0), k / n, np.nextafter(k / n, 1.0)))
-            xs.add((k + 0.5) / n)  # Pomeranz rounds the fraction of n x at 1/2
-        xs.update(np.sqrt(np.array([0.754693, 4.0, 2.2, 370.0]) / n))
-        yield from ((n, float(x)) for x in sorted(xs) if 0.0 <= x <= 1.0)
-
-
-def test_grid_reaches_every_branch_and_matches_kstwo(monkeypatch):
-    calls = []
-    for name in set(SPIED.values()):
-        real = getattr(kstest, name)
-        monkeypatch.setattr(kstest, name,
-                            lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
-    seen = set()
-    for n, x in _grid():
-        branch = _branch(n, x)
-        seen.add(branch)
-        calls.clear()
-        got = kolmogorov_sf(np.float64(x), np.float64(n))
-        assert calls == ([SPIED[branch]] if branch in SPIED else []), (n, x, branch)
-        assert _bits(got) == _bits(stats.kstwo.sf(x, float(n))), (n, x, branch)
-    assert seen == BRANCHES
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy at 1 against 1 sample
-def test_sample_pvalues_match_ks_2samp():
+def test_pvalues_match_ks_2samp_exact_bit_for_bit():
     rng = np.random.default_rng(7)
-    for case in range(150):
-        n1 = int(rng.integers(1, 701))
-        n2 = n1 if case % 2 else int(rng.integers(1, 701))
+    compared = 0
+    for R in range(1, 601):
         lam = rng.uniform(0.5, 30.0)
-        a = rng.poisson(lam, n1)
-        b = rng.poisson(lam * (1.0, 1.05, 1.3, 2.0)[case % 4], n2)
-        want = stats.ks_2samp(a, b, method="asymp").pvalue
-        assert _bits(ks_2samp_pvalue(a, b)) == _bits(want), (n1, n2)
+        for shift in (1.0, (1.05, 1.3, 2.0)[R % 3]):
+            a, b = rng.poisson(lam, R), rng.poisson(lam * shift, R)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = stats.ks_2samp(a, b, method="exact").pvalue
+            if caught:  # scipy's sum left [0, 1] and it fell back to method="asymp"
+                continue
+            compared += 1
+            assert _ks_pvalue(a, b).hex() == float(want).hex(), (R, shift)
+    assert compared > 1100
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_one_against_one_gives_nan_as_scipy_does():
-    # round(1*1/2) = 0 samples: no distribution to read a p-value from
-    assert np.isnan(stats.ks_2samp([1], [2], method="asymp").pvalue)
-    assert np.isnan(ks_2samp_pvalue([1], [2]))
-    with pytest.raises(ValueError, match="empty"):
-        ks_2samp_pvalue([], [1, 2])
+def test_pvalues_match_the_alternating_binomial_sum():
+    for R in range(1, 201):
+        for h in range(1, R + 1):
+            terms = sum((-1) ** (k + 1) * math.comb(2 * R, R - k * h) for k in range(1, R // h + 1))
+            exact = float(Fraction(2 * terms, math.comb(2 * R, R)))
+            assert _ks_pvalue(*_gap(h, R)) == pytest.approx(exact, rel=1e-12, abs=0), (R, h)
+
+
+def test_the_exact_cut_is_never_stricter_than_the_asymptotic_one():
+    # on these samples ks_2samp(method="asymp") reads d = h/R exactly and
+    # returns kstwo.sf(d, round(R/2)), the p-value the check used before
+    for R in [*range(2, 201), 500]:
+        hs = np.arange(1, R + 1)
+        kept = hs[stats.kstwo.sf(hs / R, np.round(R / 2)) > KS_ALPHA]
+        assert all(_ks_pvalue(*_gap(int(h), R)) > KS_ALPHA for h in kept), R
+    # the benchmark's 500 replicas: both cuts at h = 52
+    assert kept.max() == 51 and _ks_pvalue(*_gap(52, 500)) <= KS_ALPHA
+
+
+def test_pvalues_that_reach_one():
+    assert _ks_pvalue([3, 1, 2], [2, 3, 1]) == 1.0  # no gap
+    assert _ks_pvalue([1], [2]) == _ks_pvalue([2], [1]) == _ks_pvalue([1], [1]) == 1.0
+    assert _ks_pvalue(*_gap(2, 69)) == 1.0  # the float sum is 1.0000000000000002
+
+
+@pytest.mark.parametrize("a, b", [([], []), ([], [1]), ([1], []), ([1, 2], [1]),
+                                  ([1], [1, 2, 3])])
+def test_unequal_or_empty_samples_are_rejected(a, b):
+    with pytest.raises(ValueError, match="KS samples"):
+        _ks_pvalue(a, b)
 
 
 def test_cli_start_up_and_runs_leave_scipy_unimported(tmp_path):
@@ -121,3 +96,21 @@ def test_cli_start_up_and_runs_leave_scipy_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_src_imports_only_the_standard_library_and_its_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]}
+    assert declared == {"numpy"}
+    allowed = set(sys.stdlib_module_names) | declared | {"sixvertex"}
+    for path in sorted((ROOT / "src" / "sixvertex").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"

@@ -153,18 +153,18 @@ def test_ergodic_hypotheses_quick():
 
 @pytest.mark.parametrize("replicas", [0, 1])
 def test_ergodic_hypotheses_reject_fewer_than_two_replicas(replicas):
-    # one replica per side rounds the KS sample size to 0: p would be NaN,
-    # the check would pass and the report would hold invalid JSON
+    # with one replica per side every outcome has KS p = 1: the tests could
+    # never fail, so the check would pass whatever the sampler did
     with pytest.raises(ValueError, match="replicas >= 2"):
         verify_ergodic_hypotheses((1, 1), HOMOG, 2, replicas, 1)
 
 
-# KS p-values of `verify --seed 1` (b1 = 0.3, b2 = 0.7) as float.hex, pinned
-# when the check still called scipy.stats.ks_2samp(method="asymp").
+# KS p-values of `verify --seed 1` (b1 = 0.3, b2 = 0.7) as float.hex, equal
+# to scipy.stats.ks_2samp(method="exact") when pinned.
 KS_PINS = {
-    20: ("0x1.e86e22c856f17p-1", "0x1.ffd06fc489068p-1"),
-    150: ("0x1.62bde6cc6289ep-1", "0x1.ffffff754a5f3p-1"),
-    500: ("0x1.ffc480a852388p-1", "0x1.b2e98f6b20fdep-1"),
+    20: ("0x1.f75db77eb1de8p-1", "0x1.ffff00c1c5be9p-1"),
+    150: ("0x1.732d860ff0a14p-1", "0x1.fffffffb7c752p-1"),
+    500: ("0x1.ffddf21323d29p-1", "0x1.ba33d4e02d2cep-1"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -91,6 +92,28 @@ def test_binary_rejects_garbage():
     bad[4] = 99  # unsupported version
     with pytest.raises(ValueError):
         ensemble_from_bytes(bytes(bad))
+
+
+# Each of these was taken before the flags, the reserved field and the
+# metadata's type were checked; no writer produces them.
+@pytest.mark.parametrize("offset, value, field", [
+    (6, 0b10, "flags"), (6, 0x80, "flags"), (7, 0x01, "flags"), (7, 0x80, "flags"),
+    (18, 0x01, "reserved"), (19, 0x80, "reserved"),
+])
+def test_binary_rejects_a_header_bit_no_writer_sets(offset, value, field):
+    bad = bytearray(ensemble_to_bytes(sample_cs6v(4, 4, FIELD, 0)))
+    bad[offset] |= value
+    with pytest.raises(ValueError, match=field):
+        ensemble_from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("meta", [[1, 2], "meta", 1, None])
+def test_binary_rejects_metadata_that_is_not_an_object(meta):
+    blob = ensemble_to_bytes(sample_cs6v(4, 4, FIELD, 0))
+    text = json.dumps(meta).encode()
+    blob = blob[:20] + struct.pack("<I", len(text)) + text + blob[26:]  # in place of "{}"
+    with pytest.raises(ValueError, match="metadata"):
+        ensemble_from_bytes(blob)
 
 
 # A 4x2 two-color ensemble: header, a small metadata blob and 8 planes.
@@ -249,6 +272,7 @@ def test_json_parser_rejects_out_of_range_input(key, value):
 @pytest.mark.parametrize("key, value", [
     ("n_colors", 1.0), ("n_colors", True), ("n_colors", "1"), ("width", True), ("width", 5.0),
     ("width", "5"), ("height", 4.0), ("height", None), ("colors", None), ("colors", "v"),
+    ("version", 2), ("version", 0), ("version", True), ("version", 1.0), ("version", "1"),
 ])
 def test_json_parser_rejects_a_malformed_header(key, value):
     doc = _json_doc()
@@ -259,7 +283,7 @@ def test_json_parser_rejects_a_malformed_header(key, value):
 
 
 # Each of these raised KeyError before the header keys were checked.
-@pytest.mark.parametrize("key", ["width", "height", "n_colors", "colors", "variant"])
+@pytest.mark.parametrize("key", ["version", "width", "height", "n_colors", "colors", "variant"])
 def test_json_parser_rejects_a_missing_header_key(key):
     doc = _json_doc()
     ensemble_from_json(doc)
