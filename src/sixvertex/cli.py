@@ -191,8 +191,6 @@ def _parse_direction(text) -> tuple[Fraction, Fraction]:
         x, y = Fraction(xs.strip()), Fraction(ys.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad direction {text!r}: expected 'x,y'") from exc
-    if x <= 0 or y <= 0:
-        raise ConfigError("direction components must be positive")
     return x, y
 
 

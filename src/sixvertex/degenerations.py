@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ParameterField, _coin_rows, _row_bits, height_H, make_field, sample_cs6v
-from .lmatrix import VERIFY_TOL, _key_codes, fold_projection, l1_weight
+from .lmatrix import VERIFY_TOL, _key_codes, _levels_from_colors, l1_weight
 from .report import VerificationReport
 from .weights import B1, ONE, ONE_MINUS_B1, W, Weight, ZERO, eval_table, render
 
@@ -198,16 +198,14 @@ def verify_tpng_equivalence(n: int) -> VerificationReport:
     if not 1 <= n <= 3:
         raise ValueError("equivalence enumeration limited to n <= 3")
     rep = VerificationReport(f"modified-min equivalence n={n}")
-    v = np.arange(1 << n)
     lhs = np.array([specialize_t(w).code for w in W])[_key_codes(n)]
     # Each key's collapsed level symbols as a base-4 number (digit r-1 for
     # level r), then the modified minimum of every such symbol tuple.
     symbol = np.array([_T_SYMBOLS.index(specialize_t(l1_weight(*bits)))
                        for bits in itertools.product((0, 1), repeat=4)])
-    tuples = 0
+    tuples, levels = 0, _levels_from_colors(np.arange(1 << n), n)
     for r in range(1, n + 1):
-        fold = np.array([fold_projection(x, r) for x in v])
-        fi, fj, fk, fl = np.ix_(fold, fold, fold, fold)
+        fi, fj, fk, fl = np.ix_(*[levels >> (r - 1) & 1] * 4)
         level = (fi << 3) | (fj << 2) | (fk << 1) | fl
         tuples = tuples + (symbol[level] << 2 * (r - 1))
     rhs = np.array([modified_min(_T_SYMBOLS[t >> 2 * r & 3] for r in range(n)).code

@@ -30,9 +30,10 @@ level is the single-color complemented model, run as one carry sweep of the
 shared cross and nucleation coins with its own nucleation window.  A shell-k
 vertex may nucleate only at levels L >= n - k + 1, so level L nucleates only
 at x > (n-L)*bx and y > (n-L)*by; boundary lines enter each level as its
-south word and its carries into column 1.  Color masks are recovered once
-per ensemble by differencing consecutive levels, so any color count up to
-MAX_COLORS is sampled level by level at the cost of single-color sweeps.
+south word and its carries into column 1.  Colors and levels convert only
+through lmatrix's level pair: color masks are recovered once per ensemble by
+differencing consecutive levels, so any color count up to MAX_COLORS is
+sampled level by level at the cost of single-color sweeps.
 
 Parameters are biperiodic: vertex (x, y) reads entry ((x-1) mod I,
 (y-1) mod J) of two I x J matrices.
@@ -53,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .lmatrix import MAX_COLORS, _levels_from_colors, _ln_code
+from .lmatrix import MAX_COLORS, _colors_from_levels, _levels_from_colors, _ln_code
 from .report import VerificationReport
 
 
@@ -354,14 +355,6 @@ def height_H(e: PathEnsemble) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Color projections
 
-def _parity_fold(arr: np.ndarray, mask: int) -> np.ndarray:
-    out = np.zeros(arr.shape, dtype=np.uint8)
-    for b in range(mask.bit_length()):
-        if mask >> b & 1:
-            out ^= ((arr >> b) & 1).astype(np.uint8)
-    return out
-
-
 def _color_mask(e: PathEnsemble, colors) -> int:
     if colors is None:
         return (1 << e.n_colors) - 1
@@ -374,13 +367,11 @@ def _color_mask(e: PathEnsemble, colors) -> int:
 
 
 def mod2_project(e: PathEnsemble, colors=None) -> PathEnsemble:
-    """Merge a set of colors (default: all) into one by parity of occupancy."""
-    mask = _color_mask(e, colors)
-    return PathEnsemble(
-        e.variant, 1, e.width, e.height,
-        _parity_fold(e.v_edges, mask), _parity_fold(e.h_edges, mask),
-        _parity_fold(e.boundary_left, mask), _parity_fold(e.boundary_bottom, mask),
-    )
+    """Merge a set of colors (default: all) into one: the top level of their masks."""
+    mask, n = _color_mask(e, colors), e.n_colors
+    return PathEnsemble(e.variant, 1, e.width, e.height, *(
+        (_levels_from_colors(a & mask, n) >> (n - 1)).astype(np.uint8)
+        for a in (e.v_edges, e.h_edges, e.boundary_left, e.boundary_bottom)))
 
 
 def select_color(e: PathEnsemble, color: int) -> PathEnsemble:
@@ -429,13 +420,6 @@ def make_coloring(x, y, field: ParameterField) -> ColoringScheme:
 # ---------------------------------------------------------------------------
 # Multicolor samplers
 
-def _colors_from_levels(levels: np.ndarray, n: int) -> np.ndarray:
-    """Color masks of level-parity words, in place: color c flips levels c-1 and c apart."""
-    levels ^= levels << 1
-    levels &= (1 << n) - 1
-    return levels
-
-
 def _row_bits(width: int, height: int, rows) -> np.ndarray:
     """Bits (height, 2, width) of packed (north, east) rows: one buffer, unpacked once."""
     nbytes = (width + 7) // 8
@@ -456,8 +440,8 @@ def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
     Level L is one carry sweep of the shared coins, entered by bit L-1 of the
     boundary level words; it nucleates only at x > (n-L)*bx and y > (n-L)*by
     for block = (bx, by), everywhere for the default (0, 0).  Levels are added
-    into the mask dtype one at a time, then differenced into color masks (at
-    n = 1 the level is the mask) and transposed once.
+    into the mask dtype one at a time, then differenced into color masks and
+    transposed once.
     """
     coins = list(_coin_rows(width, height, field, seed, replica))
     entries = _levels_from_colors(np.concatenate((bottom, left)), n)  # south, then west
@@ -474,8 +458,7 @@ def _sweep_levels(width: int, height: int, n: int, field: ParameterField,
             words = bits.astype(dtype, copy=False)
         else:
             words |= np.left_shift(bits, L - 1, dtype=dtype)
-    if n > 1:
-        words = _colors_from_levels(words, n)
+    words = _colors_from_levels(words, n)
     return PathEnsemble("cs6v", n, width, height, words[:, 0].T.copy(),
                         words[:, 1].T.copy(), left, bottom)
 
@@ -634,7 +617,8 @@ def verify_monotonicity(trials: int, max_size: int, field: ParameterField,
     if trials < 1 or max_size < 1:
         raise ValueError("need trials >= 1 and max_size >= 1")
     rep = VerificationReport("boundary monotonicity")
-    for t, (w, h, h1, h2, odd_row) in enumerate(_monotonicity_trials(trials, max_size, field, seed)):
+    for t, (w, h, h1, h2, odd_row) in enumerate(
+            _monotonicity_trials(trials, max_size, field, seed)):
         problems = [f"H1={h1} > H2={h2}"] if h1 > h2 else []
         if odd_row:
             problems.append(f"line parity broken on row {odd_row}")

@@ -38,7 +38,7 @@ from .lattice import (
     mod2_project,
     sample_colored_cs6v,
 )
-from .lmatrix import MAX_COLORS
+from .lmatrix import MAX_COLORS, _levels_from_colors
 from .report import VerificationReport
 from .rng import MAX_SEED
 
@@ -94,8 +94,8 @@ def compute_X(e: PathEnsemble, scheme: ColoringScheme, m: int, n: int) -> int:
     """Number of lines of the shells m+1..n crossing row n*by at columns
     m*bx+1 .. n*bx, counted mod 2 per edge.
 
-    Shell k's color sits at bit e.n_colors - k of the masks, so the counted
-    colors occupy bits e.n_colors - n .. e.n_colors - m - 1.
+    Shell k's color sits at bit e.n_colors - k of the masks, so the count
+    reads the top level of the n - m colors from bit e.n_colors - n.
     """
     if not 0 <= m <= n <= e.n_colors:
         raise ValueError("need 0 <= m <= n <= n_colors")
@@ -105,10 +105,7 @@ def compute_X(e: PathEnsemble, scheme: ColoringScheme, m: int, n: int) -> int:
     if row > e.height or scheme.bx * n > e.width:
         raise ValueError("ensemble too small for the requested shells")
     arr = e.v_edges[scheme.bx * m: scheme.bx * n, row - 1].astype(np.int64)
-    par = np.zeros(arr.shape, dtype=np.int64)
-    for b in range(e.n_colors - n, e.n_colors - m):
-        par ^= (arr >> b) & 1
-    return int(par.sum())
+    return int((_levels_from_colors(arr >> (e.n_colors - n), n - m) >> (n - m - 1)).sum())
 
 
 def verify_superadditivity(ensembles, scheme: ColoringScheme,
@@ -159,7 +156,7 @@ def _shell_count_task(args):
     """X(0,k), X(k,2k) and X(1,k+1), shape (3, r1 - r0), of replicas r0..r1-1;
     see verify_ergodic_hypotheses for the lane layout."""
     field, bx, by, k, seed, r0, r1 = args
-    n, stride, reads = 2 * k, 2 * k * bx + 1, ((0, k), (k, 2 * k), (1, k + 1))
+    n, stride = 2 * k, 2 * k * bx + 1
     chunk, out = max(1, LANE_BITS // stride), np.empty((3, r1 - r0), dtype=np.int64)
     for c0 in range(r0, r1, chunk):
         lanes = min(chunk, r1 - c0)
@@ -167,15 +164,14 @@ def _shell_count_task(args):
         mask = tile * ((1 << stride) - 2)
         coins = list(_lane_coin_rows(seed, range(c0, c0 + lanes), [n * bx] * lanes,
                                      [n * by] * lanes, stride, field, mask))
-        north = {0: [0] * n * by}  # level L -> its north word per row; level 0 is empty
-        for L in {n - m for pair in reads for m in pair} - {0}:
-            window, y0 = tile * ((1 << stride) - (2 << (n - L) * bx)), (n - L) * by
-            level_coins = ((cross, nucleate & window if y > y0 else 0)
-                           for y, (cross, nucleate) in enumerate(coins, start=1))
-            north[L] = [s for s, _ in _carry_rows(mask, level_coins)]
-        diffs = (((north[n - a][b * by - 1] ^ north[n - b][b * by - 1])
-                  & tile * ((2 << b * bx) - (2 << a * bx)), 0) for a, b in reads)
-        bits = _row_bits(lanes * stride, 3, diffs)[:, 0].reshape(3, lanes, stride)
+        reads = []
+        for a, b in ((0, k), (k, 2 * k), (1, k + 1)):  # level n - a, swept to row b*by
+            window = tile * ((1 << stride) - (2 << a * bx))
+            level_coins = ((cross, nucleate & window if y > a * by else 0)
+                           for y, (cross, nucleate) in enumerate(coins[:b * by], start=1))
+            *_, (north, _) = _carry_rows(mask, level_coins)
+            reads.append((north & tile * ((2 << b * bx) - (2 << a * bx)), 0))
+        bits = _row_bits(lanes * stride, 3, reads)[:, 0].reshape(3, lanes, stride)
         out[:, c0 - r0:c0 - r0 + lanes] = bits.sum(axis=2)
     return out
 
@@ -225,9 +221,10 @@ def verify_ergodic_hypotheses(direction, field: ParameterField, k: int,
     guard bit and then the box's 2k*bx columns on replica r's coins, at most
     LANE_BITS bits a word.  The column mask and each level's nucleation
     window (x > (2k-L)*bx, y > (2k-L)*by) are tiled across the lanes, and
-    X(m, n) is a lane's popcount, over columns m*bx+1..n*bx, of the XOR of
-    levels 2k-m and 2k-n (level 0 is empty) at row n*by.  `workers`
-    contiguous lane groups run as one pool task each.
+    X(m, n) is a lane's popcount, over columns m*bx+1..n*bx, of level 2k-m
+    at row n*by, where its sweep stops: level 2k-n nucleates only on rows
+    y > n*by, so it is empty there.  `workers` contiguous lane groups run as
+    one pool task each.
     """
     if not 1 <= k <= MAX_COLORS // 2:
         raise ValueError(f"need k in 1..{MAX_COLORS // 2}, got k={k}")
@@ -392,6 +389,8 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
         raise ValueError(f"size {sizes[-1]}: box side above {MAX_SEED}, the coins' address space")
     if model not in ("s6v", "cs6v", "hammersley"):
         raise ValueError(f"unknown model {model!r}")
+    if replicas < 1:
+        raise ValueError(f"need replicas >= 1, got {replicas}")
     if model == "hammersley" and not (field.I == field.J == 1 and field.b1[0, 0] == 0
                                       and 0 < field.b2[0, 0] < 1):
         raise ValueError("the hammersley model needs a 1x1 field with b1 = 0 "

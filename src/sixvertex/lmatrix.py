@@ -195,6 +195,13 @@ def _levels_from_colors(words, n: int):
     return words & ((1 << n) - 1)
 
 
+def _colors_from_levels(levels, n: int):
+    """Inverse of _levels_from_colors, in place for arrays: color c flips levels c-1 and c."""
+    levels ^= levels << 1
+    levels &= (1 << n) - 1
+    return levels
+
+
 def _two_coin(i, j, n: int, cross, nucleate):
     """(north, east) words of the two-coin rule for ints or broadcast arrays;
     cross and nucleate are level words, 0 or all n bits."""
@@ -202,7 +209,7 @@ def _two_coin(i, j, n: int, cross, nucleate):
     one = si ^ sj  # levels with one input keep it
     shared = (si & cross) | (~si & nucleate)
     sk, sl = (si & one) | (shared & ~one), (sj & one) | (shared & ~one)
-    return (sk ^ (sk << 1)) & ((1 << n) - 1), (sl ^ (sl << 1)) & ((1 << n) - 1)
+    return _colors_from_levels(sk, n), _colors_from_levels(sl, n)
 
 
 def vertex_outcome(i: int, j: int, n: int, cross: bool, nucleate: bool) -> tuple[int, int]:
@@ -472,7 +479,7 @@ def verify_golden_table() -> VerificationReport:
     # Creation/annihilation happens in pairs, so level occupancy is conserved
     # mod 2 only: levels 1 and 2 of i ^ j ^ k ^ l are even.
     moved = np.bitwise_xor.reduce(np.array([row[:4] for row in rows]).reshape(-1, 4), axis=1)
-    odd = np.column_stack([moved & 1, (moved ^ moved >> 1) & 1])
+    odd = _levels_from_colors(moved, 2)[:, None] >> np.arange(2) & 1
     rep.cases += odd.size
     for row, level in np.argwhere(odd).tolist():
         rep.fail(f"level-{level + 1} parity not conserved on key {rows[row][:4]}")

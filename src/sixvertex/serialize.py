@@ -202,7 +202,7 @@ def ensemble_from_json(doc: dict) -> PathEnsemble:
     header keys, version VERSION, u32 extents, n_colors in 1..MAX_COLORS, and
     colors a list of objects with a color and lists v and h of [x, y] pairs,
     left and bottom."""
-    if doc.get("format") != "sixvertex-ensemble":
+    if not isinstance(doc, dict) or doc.get("format") != "sixvertex-ensemble":
         raise ValueError("not an ensemble document")
     if missing := [k for k in ("version", "width", "height", "n_colors", "colors", "variant")
                    if k not in doc]:

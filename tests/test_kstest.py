@@ -1,5 +1,6 @@
 """The ergodic check's KS p-value, lln._ks_pvalue, against scipy.stats and
-an exact rational oracle; and the package's runtime dependencies.
+an exact rational oracle; and the package's runtime dependencies and line
+length.
 
 scipy.stats is the oracle here only; the package itself never imports it.
 """
@@ -114,3 +115,9 @@ def test_src_imports_only_the_standard_library_and_its_declared_dependencies():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_src_lines_are_at_most_100_characters():
+    for path in sorted((ROOT / "src" / "sixvertex").glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            assert len(line) <= 100, f"{path.name}:{number} has {len(line)} characters"

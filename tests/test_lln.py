@@ -314,6 +314,9 @@ def test_convergence_input_validation():
         convergence_experiment((1, 1), HOMOG, [], 2, 0)
     with pytest.raises(ValueError):
         convergence_experiment((1, 1), HOMOG, [10], 2, 0, model="nope")
+    for replicas in (0, -1):  # each returned a report whose final_mean raised IndexError
+        with pytest.raises(ValueError, match=f"replicas >= 1, got {replicas}"):
+            convergence_experiment((1, 1), HOMOG, [10], replicas, 0)
     # the hammersley model reads only p = 1 - b2: any other field is an error
     for field in (make_field(0.3, 0.75), make_field(0.0, 1.0),
                   make_field([[0.0], [0.0]], [[0.75], [0.5]])):

@@ -119,9 +119,27 @@ def test_binary_rejects_metadata_that_is_not_an_object(meta):
 # A 4x2 two-color ensemble: header, a small metadata blob and 8 planes.
 FUZZ_BLOB = ensemble_to_bytes(
     sample_colored_cs6v(2, make_coloring(2, 1, FIELD), FIELD, 3), {"k": 1})
-# Bytes 13-15 and 17-19 are the high bytes of width and height; flipping one
-# would claim a box of billions of cells, which the fuzz keeps out of its inputs.
-FLIP_OFFSETS = [i for i in range(len(FUZZ_BLOB)) if i not in (13, 14, 15, 17, 18, 19)]
+# After the 4-byte magic the header holds version and flags (u16 each, bytes
+# 4-7), width (8-11), height (12-15), n_colors (16-17), a reserved u16 (18-19)
+# and meta_len (20-23).  A flipped width or height fails the exact-length check
+# before anything is allocated, so every byte may be flipped.
+
+
+def _flipped(offset: int, bit: int) -> bytes:
+    mangled = bytearray(FUZZ_BLOB)
+    mangled[offset] ^= 1 << bit
+    return bytes(mangled)
+
+
+def _assert_rejected_or_round_trips(buf: bytes, may_parse: bool):
+    try:
+        e, meta = ensemble_from_bytes(buf)
+    except ValueError:
+        return
+    assert may_parse, "a buffer of the wrong length must be rejected"
+    again, meta_again = ensemble_from_bytes(ensemble_to_bytes(e, meta))
+    _assert_same(e, again)
+    assert meta_again == meta
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,18 +150,15 @@ def test_binary_parser_rejects_or_round_trips_mangled_bytes(kind, data):
     elif kind == "extend":
         buf = FUZZ_BLOB + data.draw(st.binary(min_size=1, max_size=16))
     else:
-        mangled = bytearray(FUZZ_BLOB)
-        offset = data.draw(st.sampled_from(FLIP_OFFSETS))
-        mangled[offset] ^= 1 << data.draw(st.integers(0, 7))
-        buf = bytes(mangled)
-    try:
-        e, meta = ensemble_from_bytes(buf)
-    except ValueError:
-        return
-    assert kind == "flip", "a buffer of the wrong length must be rejected"
-    again, meta_again = ensemble_from_bytes(ensemble_to_bytes(e, meta))
-    _assert_same(e, again)
-    assert meta_again == meta
+        buf = _flipped(data.draw(st.integers(0, len(FUZZ_BLOB) - 1)),
+                       data.draw(st.integers(0, 7)))
+    _assert_rejected_or_round_trips(buf, kind == "flip")
+
+
+def test_binary_parser_rejects_or_round_trips_every_header_bit_flip():
+    for offset in range(24):
+        for bit in range(8):
+            _assert_rejected_or_round_trips(_flipped(offset, bit), True)
 
 
 def test_file_round_trip(tmp_path):
@@ -279,6 +294,13 @@ def test_json_parser_rejects_a_malformed_header(key, value):
     ensemble_from_json(doc)
     doc[key] = value
     with pytest.raises(ValueError, match=key):
+        ensemble_from_json(doc)
+
+
+# Each of these raised AttributeError before the document's type was checked.
+@pytest.mark.parametrize("doc", [[1, 2], "x", None, 3])
+def test_json_parser_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="^not an ensemble document$"):
         ensemble_from_json(doc)
 
 
