@@ -78,7 +78,6 @@ from .lmatrix import (
     outcome_table,
     parse_colors,
     partition_projection,
-    sample_vertex,
     verify_color_ignorance,
     verify_golden_table,
     verify_mod2_erasure,
@@ -95,9 +94,7 @@ from .serialize import (
     ensemble_to_bytes,
     ensemble_to_json,
     read_ensemble,
-    read_pointset,
     write_ensemble,
-    write_pointset,
 )
 from .weights import (
     B1,
@@ -133,14 +130,14 @@ __all__ = [
     "l2_golden_table", "limit_shape_g", "ln_distribution", "ln_weight",
     "make_coloring", "make_field", "mod2_project", "modified_min",
     "outcome_table", "parse", "parse_colors", "partition_projection",
-    "read_ensemble", "read_pointset", "render", "row_uniforms",
-    "sample_colored_cs6v", "sample_cs6v", "sample_pointset", "sample_s6v",
-    "sample_shell_ensembles", "sample_two_colored_with_boundary",
-    "sample_vertex", "select_color", "specialize_t", "star", "star_product",
+    "read_ensemble", "render", "row_uniforms", "sample_colored_cs6v",
+    "sample_cs6v", "sample_pointset", "sample_s6v", "sample_shell_ensembles",
+    "sample_two_colored_with_boundary", "select_color", "specialize_t",
+    "star", "star_product",
     "verify_color_ignorance", "verify_ergodic_hypotheses",
     "verify_golden_table", "verify_hammersley_coupling",
     "verify_hammersley_equivalence", "verify_mod2_erasure",
     "verify_monotonicity", "verify_prop_X_height", "verify_sampler_matrix",
     "verify_stochastic", "verify_superadditivity", "verify_tpng_equivalence",
-    "vertex_outcome", "write_ensemble", "write_pointset", "write_svg",
+    "vertex_outcome", "write_ensemble", "write_svg",
 ]

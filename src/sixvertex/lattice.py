@@ -110,14 +110,8 @@ class ParameterField:
 
 def make_field(b1, b2) -> ParameterField:
     """Build a field from scalars (homogeneous) or I x J arrays."""
-    b1 = np.asarray(b1, dtype=np.float64)
-    b2 = np.asarray(b2, dtype=np.float64)
-    if b1.ndim == 0:
-        b1 = b1.reshape(1, 1)
-    if b2.ndim == 0:
-        b2 = b2.reshape(1, 1)
-    if b1.shape != b2.shape:
-        b1, b2 = np.broadcast_arrays(b1, b2)
+    b1, b2 = np.atleast_2d(np.asarray(b1, dtype=np.float64), np.asarray(b2, dtype=np.float64))
+    b1, b2 = np.broadcast_arrays(b1, b2)
     return ParameterField(b1.copy(), b2.copy())
 
 
@@ -134,10 +128,11 @@ class PathEnsemble:
 
     v_edges[x-1, y-1] is the color mask on the north edge of vertex (x, y),
     h_edges[x-1, y-1] the mask on its east edge; bit c-1 carries the c-th
-    highest priority color.  boundary_left[y-1] is the mask entering the west
-    edge of (1, y), boundary_bottom[x-1] the mask entering the south edge of
-    (x, 1).  variant is "s6v" or "cs6v" and records which vertex rules
-    produced the sample.
+    highest priority color, so every plane has an integer dtype with at least
+    n_colors value bits (bool only at one color).  boundary_left[y-1] is the
+    mask entering the west edge of (1, y), boundary_bottom[x-1] the mask
+    entering the south edge of (x, 1).  variant is "s6v" or "cs6v" and
+    records which vertex rules produced the sample.
     """
 
     variant: str
@@ -161,6 +156,10 @@ class PathEnsemble:
         if self.boundary_left.shape != (self.height,) or \
                 self.boundary_bottom.shape != (self.width,):
             raise ValueError("boundary array shapes must be (height,)/(width,)")
+        for a in (self.v_edges, self.h_edges, self.boundary_left, self.boundary_bottom):
+            bits = {"b": 1, "u": 8 * a.dtype.itemsize, "i": 8 * a.dtype.itemsize - 1}
+            if bits.get(a.dtype.kind, 0) < self.n_colors:
+                raise ValueError(f"{a.dtype} planes cannot hold {self.n_colors} colors")
 
     def inputs_at(self, x: int, y: int) -> tuple[int, int]:
         """(south, west) input masks of vertex (x, y)."""

@@ -336,9 +336,7 @@ def _ratio_task(args):
     of _liquid_rows (the full draw's rows) advances to each floor point (px, py):
     the popcount of row py's north word below bit px is H for cs6v, for hammersley
     (b1 = 0) the longest chain of the coupled point set, and py - h for s6v."""
-    model, b1, b2, xs, ys, sizes, seed, replica = args
-    field = ParameterField(np.asarray(b1), np.asarray(b2))
-    x, y = Fraction(xs), Fraction(ys)
+    model, field, x, y, sizes, seed, replica = args
     wmax, hmax = _floor_point(x, y, max(sizes))
     rows = _liquid_rows(wmax, hmax, field, seed, replica)
     step = model == "s6v"
@@ -405,8 +403,7 @@ def convergence_experiment(direction, field: ParameterField, sizes, replicas: in
             reference = float(y) - g
         else:
             reference = hammersley_limit(float(x), float(y), 1.0 - b2v)
-    args = [(model, field.b1.tolist(), field.b2.tolist(), str(x), str(y),
-             sizes, seed, r) for r in range(replicas)]
+    args = [(model, field, x, y, sizes, seed, r) for r in range(replicas)]
     rows = pool.run_tasks(_ratio_task, args, workers)
     ratios = np.array(rows, dtype=np.float64)
     return ConvergenceReport(model, (str(x), str(y)), sizes, ratios, reference, seed)

@@ -162,16 +162,6 @@ class OutcomeDistribution:
         return dict(zip(self.outcomes, self.probs))
 
 
-@lru_cache(maxsize=4096)
-def _ln_distribution_cached(i, j, n, b1, b2):
-    v = np.arange(1 << n)
-    codes = _ln_code(i, j, v[:, None], v, n)
-    outcomes = tuple(sorted(map(tuple, np.argwhere(codes).tolist()),
-                            key=lambda kl: (format_colors(kl[0], n), format_colors(kl[1], n))))
-    probs = tuple(weights.evaluate(weights.W[codes[kl]], b1, b2) for kl in outcomes)
-    return OutcomeDistribution(n, outcomes, probs)
-
-
 def ln_distribution(i: int, j: int, n: int, b1: float, b2: float) -> OutcomeDistribution:
     """Exact output law at numeric parameters, by enumeration of all 4^n outputs."""
     _check_key(n, i, j)
@@ -179,7 +169,12 @@ def ln_distribution(i: int, j: int, n: int, b1: float, b2: float) -> OutcomeDist
         raise ValueError("distribution enumeration limited to n <= 8")
     if not (0.0 <= b1 <= 1.0 and 0.0 <= b2 <= 1.0):
         raise ValueError("parameters must lie in [0, 1]")
-    return _ln_distribution_cached(i, j, n, float(b1), float(b2))
+    v = np.arange(1 << n)
+    codes = _ln_code(i, j, v[:, None], v, n)
+    outcomes = tuple(sorted(map(tuple, np.argwhere(codes).tolist()),
+                            key=lambda kl: (format_colors(kl[0], n), format_colors(kl[1], n))))
+    table = weights.eval_table(float(b1), float(b2))
+    return OutcomeDistribution(n, outcomes, tuple(table[codes[kl]] for kl in outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +218,6 @@ def vertex_outcome(i: int, j: int, n: int, cross: bool, nucleate: bool) -> tuple
     _check_key(n, i, j)
     full = (1 << n) - 1
     return _two_coin(i, j, n, full if cross else 0, full if nucleate else 0)
-
-
-def sample_vertex(i: int, j: int, n: int, b1: float, b2: float,
-                  u1: float, u2: float) -> tuple[int, int]:
-    """One exact draw from the vertex law using two uniforms in [0, 1).
-
-    u1 drives the cross coin (crosses with probability b1); u2 drives the
-    nucleation coin (nucleates with probability 1 - b2).
-    """
-    return vertex_outcome(i, j, n, u1 < b1, u2 >= b2)
 
 
 def coin_law(i: int, j: int, n: int, b1: float, b2: float) -> dict[tuple[int, int], float]:
@@ -411,22 +396,19 @@ def verify_sampler_matrix(n: int) -> VerificationReport:
     rep = VerificationReport(f"sampler law n={n}")
     size = 1 << n
     codes = _key_codes(n).reshape(size, size, -1)  # output (k, l) at k * size + l
-    bad = np.zeros((size, size, len(VERIFY_GRID)), dtype=bool)
+    misses = []
     for g, (b1, b2) in enumerate(VERIFY_GRID):
         dist, law = np.array(weights.eval_table(b1, b2))[codes], np.zeros(codes.shape)
         for cross, nuc in itertools.product((0, 1), repeat=2):  # coin_law's order
             hit = outcome_table(n)[:, :, cross, nuc, None] == np.arange(size * size)
             law += (b1 if cross else 1.0 - b1) * ((1.0 - b2) if nuc else b2) * hit
         rep.cases += int(((law > 0.0) | (codes != 0)).sum())  # outcomes of either law
-        bad[:, :, g] = (np.abs(law - dist) > VERIFY_TOL).any(axis=2)
-    for i, j, g in np.argwhere(bad).tolist():
+        misses += [(i, j, g, kl, float(law[i, j, kl]), float(dist[i, j, kl]))
+                   for i, j, kl in np.argwhere(np.abs(law - dist) > VERIFY_TOL).tolist()]
+    for i, j, g, kl, got, want in sorted(misses):
         b1, b2 = VERIFY_GRID[g]
-        law_ij, dist_ij = coin_law(i, j, n, b1, b2), ln_distribution(i, j, n, b1, b2).as_dict()
-        for key in set(law_ij) | set(dist_ij):
-            if abs(law_ij.get(key, 0.0) - dist_ij.get(key, 0.0)) > VERIFY_TOL:
-                rep.fail(f"law mismatch i={format_colors(i, n)} j={format_colors(j, n)} "
-                         f"outcome={key} at ({b1},{b2}): "
-                         f"{law_ij.get(key, 0.0)!r} vs {dist_ij.get(key, 0.0)!r}")
+        rep.fail(f"law mismatch i={format_colors(i, n)} j={format_colors(j, n)} "
+                 f"outcome={divmod(kl, size)} at ({b1},{b2}): {got!r} vs {want!r}")
     return rep
 
 

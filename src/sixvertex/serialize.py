@@ -1,5 +1,5 @@
-"""File formats: compact binary ensembles, lossless JSON debug form, the
-JSON text of every document the CLI writes, and plain-text point sets.
+"""File formats: compact binary ensembles, lossless JSON debug form, and the
+JSON text of every document the CLI writes.
 
 Binary layout (all integers little-endian):
 
@@ -31,7 +31,6 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .degenerations import PointSet
 from .lattice import PathEnsemble, _mask_dtype
 from .lmatrix import MAX_COLORS
 
@@ -231,32 +230,3 @@ def ensemble_from_json(doc: dict) -> PathEnsemble:
             bottom[_index(x, width, "x")] |= bit
     return PathEnsemble(doc["variant"], n, width, height, v, hE, left, bottom)
 
-
-# ---------------------------------------------------------------------------
-# Point sets
-
-def write_pointset(ps: PointSet, path) -> None:
-    """One 'x y' pair per line, sorted."""
-    with open(path, "w") as f:
-        for x, y in ps.points():
-            f.write(f"{x} {y}\n")
-
-
-def read_pointset(path, width: int | None = None, height: int | None = None) -> PointSet:
-    """Inverse of write_pointset; extents default to the maximal coordinates.
-    A coordinate outside 1..extent is a ValueError."""
-    pts = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            xs, ys = line.split()
-            pts.append((int(xs), int(ys)))
-    w = width if width is not None else max((x for x, _ in pts), default=1)
-    h = height if height is not None else max((y for _, y in pts), default=1)
-    cells = [(_index(x, w, "x"), _index(y, h, "y")) for x, y in pts]
-    grid = np.zeros((w, h), dtype=bool)
-    for cell in cells:
-        grid[cell] = True
-    return PointSet(w, h, grid)

@@ -37,21 +37,6 @@ class Weight:
     a2: int
     code: int
 
-    @property
-    def factors(self) -> frozenset[str]:
-        """Factor names as strings; empty for 0 and 1."""
-        if self.zero:
-            return frozenset()
-        out = []
-        if self.a1:
-            out.append(_TAG_NAMES_1[self.a1])
-        if self.a2:
-            out.append(_TAG_NAMES_2[self.a2])
-        return frozenset(out)
-
-    def __mul__(self, other: "Weight") -> "Weight":
-        return star(self, other)
-
     def __repr__(self) -> str:
         return f"Weight({render(self)!r})"
 

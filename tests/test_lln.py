@@ -402,7 +402,7 @@ def test_converge_draws_only_the_liquid_region(model, b1, b2, bound, monkeypatch
     # (0.3, 0.7), 1/4 at p = 0.25.  The full draw of a 1000^2 box takes 10^6.
     field = make_field(b1, b2)
     assert _drawn_cells(monkeypatch, lambda: list(_coin_rows(1000, 1000, field, 1, 0))) == 10**6
-    task = (model, [[b1]], [[b2]], "1", "1", [1000], 1, 0)
+    task = (model, field, Fraction(1), Fraction(1), [1000], 1, 0)
     assert 0 < _drawn_cells(monkeypatch, lambda: _ratio_task(task)) <= bound
 
 
@@ -411,7 +411,7 @@ def test_converge_draws_only_the_liquid_region(model, b1, b2, bound, monkeypatch
 def test_one_replica_holds_width_sized_state(model, b1, b2):
     # a materialized 1500 x 1500 sample takes over 2 MB even as bytes
     width = 1500
-    args = (model, [[b1]], [[b2]], "1", "1", [500, 1000, width], 1, 0)
+    args = (model, make_field(b1, b2), Fraction(1), Fraction(1), [500, 1000, width], 1, 0)
     tracemalloc.start()
     try:
         _ratio_task(args)

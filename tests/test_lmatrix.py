@@ -19,7 +19,6 @@ from sixvertex.lmatrix import (
     outcome_table,
     parse_colors,
     partition_projection,
-    sample_vertex,
     validate_partition,
     verify_color_ignorance,
     verify_golden_table,
@@ -161,13 +160,6 @@ def test_outcome_table_matches_vertex_outcome():
             tab[0, 0, 0, 0] = 0  # table is shared and must stay frozen
 
 
-def test_sample_vertex_thresholds():
-    for i, j in itertools.product(range(4), repeat=2):
-        for u1, u2 in ((0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)):
-            assert sample_vertex(i, j, 2, 0.5, 0.5, u1, u2) == \
-                vertex_outcome(i, j, 2, u1 < 0.5, u2 >= 0.5)
-
-
 def test_coin_law_total_mass():
     law = coin_law(0b11, 0b01, 2, 0.3, 0.7)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
@@ -289,7 +281,6 @@ def mutate_l1(monkeypatch):
     """Replace entries of the one-color code table and clear every cache built on it."""
     def clear():
         lmatrix._key_codes.cache_clear()
-        lmatrix._ln_distribution_cached.cache_clear()
 
     def mutate(key, weight):
         codes = lmatrix._L1_CODES.copy()

@@ -1,4 +1,4 @@
-"""Binary, JSON, plain-text, and SVG output formats."""
+"""Binary, JSON and SVG output formats."""
 
 import ast
 import json
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sixvertex import render_svg
-from sixvertex.degenerations import PointSet, sample_pointset
 from sixvertex.lattice import (
     PathEnsemble,
     make_coloring,
@@ -31,9 +30,7 @@ from sixvertex.serialize import (
     ensemble_to_json,
     json_chunks,
     read_ensemble,
-    read_pointset,
     write_ensemble,
-    write_pointset,
 )
 
 from svg_oracle import ensemble_svg as oracle_svg
@@ -183,36 +180,6 @@ def test_json_round_trip(e):
             assert 1 <= x <= e.width and 1 <= y <= e.height
 
 
-def test_pointset_round_trip(tmp_path):
-    ps = sample_pointset(11, 7, 0.4, 3)
-    path = tmp_path / "pts.txt"
-    write_pointset(ps, path)
-    back = read_pointset(path, width=11, height=7)
-    assert np.array_equal(ps.grid, back.grid)
-
-
-@pytest.mark.parametrize("fill", [False, True])
-def test_pointset_round_trip_empty_and_full(fill, tmp_path):
-    ps = PointSet(5, 3, np.full((5, 3), fill))
-    path = tmp_path / "pts.txt"
-    write_pointset(ps, path)
-    assert path.read_text() == "".join(f"{x} {y}\n" for x in range(1, 6) for y in range(1, 4)
-                                       if fill)
-    back = read_pointset(path, width=5, height=3)
-    assert back.grid.shape == (5, 3) and np.array_equal(back.grid, ps.grid)
-
-
-def test_pointset_text_format(tmp_path):
-    path = tmp_path / "pts.txt"
-    path.write_text("# comment line\n2 3\n\n1 1\n4 2\n")
-    ps = read_pointset(path)
-    assert ps.points() == [(1, 1), (2, 3), (4, 2)]
-    assert ps.grid.shape == (4, 3)  # inferred from max coordinates
-    ps2 = read_pointset(path, width=6, height=5)
-    assert ps2.grid.shape == (6, 5)
-    assert ps2.points() == ps.points()
-
-
 def test_svg_is_deterministic_and_wellformed(tmp_path):
     import xml.etree.ElementTree as ET
     e = sample_colored_cs6v(3, make_coloring(1, 1, FIELD), FIELD, 8)
@@ -340,15 +307,24 @@ def test_path_ensemble_rejects_a_non_integer_color_count(n_colors):
                      e.boundary_left, e.boundary_bottom)
 
 
-@pytest.mark.parametrize("text, extents", [
-    ("0 2\n", {}), ("2 0\n", {}), ("-1 1\n", {}), ("1 2\n7 1\n", {"width": 6, "height": 5}),
-    ("1 6\n", {"width": 6, "height": 5}), ("0 0\n", {"width": 6, "height": 5}),
-])
-def test_pointset_parser_rejects_out_of_range_points(text, extents, tmp_path):
-    path = tmp_path / "pts.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="outside 1.."):
-        read_pointset(path, **extents)
+@pytest.mark.parametrize("dtype, n_colors", [(np.uint8, 9), (np.uint8, 10), (np.int8, 8),
+                                             (np.uint16, 17), (np.int32, 32), (bool, 2),
+                                             (np.float64, 1), (np.float32, 2)])
+def test_path_ensemble_rejects_planes_that_cannot_hold_its_colors(dtype, n_colors):
+    e = sample_cs6v(5, 4, FIELD, 1)
+    planes = [a.astype(dtype) for a in (e.v_edges, e.h_edges, e.boundary_left,
+                                        e.boundary_bottom)]
+    with pytest.raises(ValueError, match=f"planes cannot hold {n_colors} colors"):
+        PathEnsemble(e.variant, n_colors, e.width, e.height, *planes)
+
+
+@pytest.mark.parametrize("dtype, n_colors", [(bool, 1), (np.int8, 7), (np.uint8, 8),
+                                             (np.int64, 32), (np.uint32, 32)])
+def test_path_ensemble_accepts_planes_that_hold_its_colors(dtype, n_colors):
+    e = sample_cs6v(5, 4, FIELD, 1)
+    planes = [a.astype(dtype) for a in (e.v_edges, e.h_edges, e.boundary_left,
+                                        e.boundary_bottom)]
+    assert PathEnsemble(e.variant, n_colors, e.width, e.height, *planes).n_colors == n_colors
 
 
 # ---------------------------------------------------------------------------
